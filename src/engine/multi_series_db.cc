@@ -288,7 +288,6 @@ Status MultiSeriesDB::AppendBatch(const std::string& series,
   // The engine has its own internal locking; map nodes are pointer-stable,
   // and CloseSeries requires no in-flight operations on the closed series,
   // so `entry` stays valid here without the shard lock.
-  if (count == 1) return entry->engine->Append(points[0]);
   return entry->engine->AppendBatch(points, count);
 }
 

@@ -132,18 +132,12 @@ struct Options {
   std::vector<storage::LevelLayout> level_layouts;
   /// Which file a job picks from a sorted source level.
   CompactionFilePick file_pick = CompactionFilePick::kOldest;
-  /// Schedule an L0->L1 compaction once level 0 holds this many files.
-  /// 1 reproduces the seed's eager fold-every-flush behaviour.
-  size_t level0_compaction_trigger = 1;
   /// File-count trigger for level n >= 1 is
-  /// level_base_files * level_size_ratio^(n-1); the deepest level never
-  /// triggers. Together these bound a job's inputs to O(size_ratio) files.
+  /// level_base_files * level_size_ratio^(n-1); level 0 folds every file
+  /// and the deepest level never triggers. Together these bound a job's
+  /// inputs to O(size_ratio) files.
   size_t level_base_files = 8;
   double level_size_ratio = 4.0;
-  /// Explicit per-level file-count triggers overriding the geometric rule;
-  /// entry [n] applies to level n (entries [0] and beyond-the-end are
-  /// ignored in favour of level0_compaction_trigger / the geometric rule).
-  std::vector<size_t> level_file_triggers;
   /// Cap on total input files (source + overlap) per compaction job; a
   /// burst of flushes can otherwise snowball one job into an unbounded
   /// stall. 0 = unlimited (seed behaviour). Values < 2 are clamped to 2 so
@@ -151,11 +145,13 @@ struct Options {
   /// never to in-memory merges.
   size_t max_compaction_input_files = 0;
 
-  /// When true, a full MemTable is flushed to an overlapping level-0 file
-  /// and a background thread folds level-0 into the sorted run — the
-  /// non-blocking variant of paper §V-C used for the throughput study.
-  /// When false (default), flush/merge run synchronously inside Append,
-  /// which makes WA experiments deterministic.
+  /// Which executor runs the write pipeline (a full MemTable is frozen,
+  /// installed, then compacted). False (default): the appending thread runs
+  /// it inline — C_seq flushes above the run, C0/C_nonseq merge into it —
+  /// which makes WA experiments deterministic. True: jobs on
+  /// `job_scheduler` write each frozen MemTable to an overlapping level-0
+  /// file and fold level 0 into the run — the non-blocking variant of
+  /// paper §V-C used for the throughput study.
   bool background_mode = false;
   /// Backpressure: Append blocks while level-0 files plus not-yet-flushed
   /// MemTable batches total this many.

@@ -114,16 +114,6 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-std::vector<DataPoint> BatchPoints(const storage::MemTable::PointMap& batch) {
-  std::vector<DataPoint> points;
-  points.reserve(batch.size());
-  for (const auto& [t, p] : batch) {
-    (void)t;
-    points.push_back(p);
-  }
-  return points;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<TsEngine>> TsEngine::Open(Options options) {
@@ -282,15 +272,13 @@ TsEngine::~TsEngine() {
     // this no scheduler worker can touch engine state.
     options_.job_scheduler->DrainToken(job_token_);
   }
-  // Batches accepted by Append but not yet flushed would be lost with the
-  // engine; write them to level 0 so a clean close + reopen reads them
-  // back (best effort — failures leave the WAL, when enabled, to replay).
+  // Batches accepted by Append but not yet installed would be lost with the
+  // engine; install them (level-0 files in background mode) so a clean
+  // close + reopen reads them back (best effort — failures leave the WAL,
+  // when enabled, to replay).
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    while (!pending_flushes_.empty()) {
-      std::vector<DataPoint> points = BatchPoints(*pending_flushes_.front());
-      if (!FlushToLevel0Locked(std::move(points)).ok()) break;
-      pending_flushes_.erase(pending_flushes_.begin());
+    while (!pending_flushes_.empty() && InstallFrontBatchLocked(lock).ok()) {
     }
   }
   if (wal_handle_ != nullptr) {
@@ -355,15 +343,11 @@ Status TsEngine::Recover() {
   }
   max_seen_tg_ = MaxPersistedLocked();
   if (!options_.background_mode) {
-    // Fold straggler files into level 1 eagerly (single-threaded here: the
-    // background thread has not started, so the lock dance inside
-    // CompactLevel is harmless), then let the cascade redistribute across
-    // deeper levels. Recovery flattens the tree into levels 0/1 first
-    // because on-disk files carry no level tag.
-    while (Level0FileCountLockedForRecovery() > 0) {
-      SEPLSM_RETURN_IF_ERROR(CompactLevel(0, lock));
-    }
-    SEPLSM_RETURN_IF_ERROR(CascadeCompactionsTurnstileHeld(lock));
+    // Fold straggler files into level 1 eagerly and let the cascade
+    // redistribute them (single-threaded here, so the lock dance inside
+    // CompactLevel is harmless). Recovery flattens the tree into levels 0/1
+    // first because on-disk files carry no level tag.
+    SEPLSM_RETURN_IF_ERROR(CompactInlineLocked(lock));
   }
   if (options_.enable_wal) {
     // Replay buffered points lost with the last process. Replay is
@@ -384,14 +368,15 @@ Status TsEngine::Recover() {
     // sequence — truncate, then re-log — had a window where they were in
     // neither.)
     SEPLSM_RETURN_IF_ERROR(RotateWalLocked(&*replayed));
-    // Re-insert into the MemTables. The points are already in the rotated
-    // log, so AppendLocked must not re-log them — and must not checkpoint
+    // Re-insert into the MemTables, one point at a time as they were
+    // appended. The points are already in the rotated log, so
+    // AppendBatchLocked must not re-log them — and must not checkpoint
     // mid-loop, which would retire the log out from under the
     // not-yet-reinserted tail.
     wal_replaying_ = true;
     Status replay_st;
     for (const auto& p : *replayed) {
-      replay_st = AppendLocked(p, lock);
+      replay_st = AppendBatchLocked(&p, 1, lock, nullptr);
       if (!replay_st.ok()) break;
     }
     wal_replaying_ = false;
@@ -460,20 +445,11 @@ Status TsEngine::RotateWalLocked(const std::vector<DataPoint>* relog_points) {
 Status TsEngine::DrainForWalRetireLocked(std::unique_lock<std::mutex>& lock) {
   while (true) {
     SEPLSM_RETURN_IF_ERROR(DrainMemTablesLocked(lock));
-    if (!sync_merge_batches_.empty()) {
-      // In-flight turnstile mutations started by concurrent appends: wait
-      // them out (they need mutex_, which the wait releases).
-      background_cv_.wait(lock, [this] {
-        return sync_merge_batches_.empty() || background_error_set_;
-      });
-      if (background_error_set_) return background_error_;
-    }
     const bool mems_empty =
         options_.policy.kind == PolicyKind::kConventional
             ? c0_->empty()
             : (cseq_->empty() && cnonseq_->empty());
-    if (mems_empty && pending_flushes_.empty() &&
-        sync_merge_batches_.empty()) {
+    if (mems_empty && pending_flushes_.empty()) {
       // Nothing buffered, and the lock is held from this check until the
       // caller's rotation: every WAL record's point is on disk.
       return Status::OK();
@@ -490,10 +466,6 @@ Status TsEngine::MaybeCheckpointWalLocked(std::unique_lock<std::mutex>& lock) {
   SEPLSM_RETURN_IF_ERROR(RotateWalLocked(nullptr));
   ++metrics_.wal_checkpoints;
   return Status::OK();
-}
-
-size_t TsEngine::Level0FileCountLockedForRecovery() {
-  return version_.level0().size();
 }
 
 int64_t TsEngine::MaxPersistedLocked() const {
@@ -527,48 +499,8 @@ void TsEngine::WaitForWriteRoomLocked(std::unique_lock<std::mutex>& lock,
   }
 }
 
-Status TsEngine::Append(const DataPoint& point) {
-  const bool instrument = telemetry::Active(telemetry_);
-  const int64_t append_start =
-      instrument ? options_.clock->NowNanos() : 0;
-  Status st;
-  storage::GroupCommitter::Ticket ticket;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (background_error_set_) return background_error_;
-    if (options_.background_mode) {
-      WaitForWriteRoomLocked(lock, /*points=*/1, instrument);
-      if (background_error_set_) return background_error_;
-      if (shutting_down_) return Status::Aborted("engine shutting down");
-    }
-    st = AppendLocked(point, lock, &ticket);
-  }
-  if (st.ok() && ticket != nullptr) {
-    // Group commit: the point is in the MemTable and its record is queued;
-    // block — with no engine lock held — until the commit thread's fsync
-    // covers it. An OK here carries the same guarantee as
-    // wal_sync_every_append: the point is on the device.
-    const int64_t wait_start = options_.clock->NowNanos();
-    st = options_.wal_committer->Wait(ticket);
-    const uint64_t wait_micros = static_cast<uint64_t>(
-        (options_.clock->NowNanos() - wait_start) / 1000);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      metrics_.stall_wal_commit_micros += wait_micros;
-      if (st.ok() && wal_ != nullptr) {
-        metrics_.wal_durable_bytes =
-            std::max(metrics_.wal_durable_bytes, wal_->bytes_written());
-      }
-    }
-  }
-  CollectDeferredDeletes();
-  if (instrument) RecordAppendLatency(append_start);
-  return st;
-}
-
 Status TsEngine::AppendBatch(const DataPoint* points, size_t count) {
   if (count == 0) return Status::OK();
-  if (count == 1) return Append(points[0]);
   const bool instrument = telemetry::Active(telemetry_);
   const int64_t append_start = instrument ? options_.clock->NowNanos() : 0;
   Status st;
@@ -638,61 +570,14 @@ void TsEngine::RecordQueueWait(uint64_t queue_wait_micros) {
       end_nanos - static_cast<int64_t>(queue_wait_micros) * 1000, end_nanos);
 }
 
-Status TsEngine::AppendLocked(const DataPoint& point,
-                              std::unique_lock<std::mutex>& lock,
-                              storage::GroupCommitter::Ticket* ticket) {
+Status TsEngine::AppendBatchLocked(const DataPoint* points, size_t count,
+                                   std::unique_lock<std::mutex>& lock,
+                                   storage::GroupCommitter::Ticket* ticket) {
   if (options_.enable_wal && wal_ == nullptr && !wal_replaying_) {
     // A failed rotation leaves the engine without a live log (the old one
     // was retired, the replacement never opened). Acking appends in this
     // state would hand out durability the store cannot provide — the
     // crash-matrix test catches exactly this as acked-point loss.
-    return Status::IOError("wal unavailable after failed rotation");
-  }
-  if (wal_ != nullptr && !wal_replaying_) {
-    if (wal_handle_ != nullptr && ticket != nullptr) {
-      // Group commit: hand the point to the shared commit thread.
-      // Enqueuing under mutex_ makes WAL record order match MemTable
-      // insert order; the caller Waits on the ticket only after releasing
-      // the lock, so appends from other threads pile into the same fsync.
-      *ticket = options_.wal_committer->Enqueue(wal_handle_, point);
-      if (*ticket == nullptr) {
-        return Status::Aborted("wal committer shutting down");
-      }
-    } else {
-      SEPLSM_RETURN_IF_ERROR(wal_->Append(point));
-      if (options_.wal_sync_every_append) {
-        SEPLSM_RETURN_IF_ERROR(SyncWalLocked());
-      }
-    }
-    ++metrics_.wal_records;
-    metrics_.wal_bytes = wal_->bytes_written();
-  }
-  ++metrics_.points_ingested;
-  max_seen_tg_ = std::max(max_seen_tg_, point.generation_time);
-  Status st;
-  if (options_.policy.kind == PolicyKind::kConventional) {
-    c0_->Add(point);
-    if (c0_->full()) st = HandleFullConventional(lock);
-  } else {
-    // Definition 3: in-order iff generated after everything persisted.
-    int64_t last = MaxPersistedLocked();
-    if (point.generation_time > last) {
-      cseq_->Add(point);
-      if (cseq_->full()) st = HandleFullSeq(lock);
-    } else {
-      cnonseq_->Add(point);
-      if (cnonseq_->full()) st = HandleFullNonseq(lock);
-    }
-  }
-  if (st.ok()) st = MaybeCheckpointWalLocked(lock);
-  if (st.ok()) MaybeRecordTimelineLocked();
-  return st;
-}
-
-Status TsEngine::AppendBatchLocked(const DataPoint* points, size_t count,
-                                   std::unique_lock<std::mutex>& lock,
-                                   storage::GroupCommitter::Ticket* ticket) {
-  if (options_.enable_wal && wal_ == nullptr && !wal_replaying_) {
     return Status::IOError("wal unavailable after failed rotation");
   }
   if (wal_ != nullptr && !wal_replaying_) {
@@ -721,21 +606,20 @@ Status TsEngine::AppendBatchLocked(const DataPoint* points, size_t count,
     const DataPoint& point = points[i];
     ++metrics_.points_ingested;
     max_seen_tg_ = std::max(max_seen_tg_, point.generation_time);
-    if (options_.policy.kind == PolicyKind::kConventional) {
-      c0_->Add(point);
-      if (c0_->full()) st = HandleFullConventional(lock);
-    } else {
-      // Each point is classified individually: a mid-batch flush moves the
-      // persisted horizon, which can flip later points of the same batch
-      // from non-sequential to sequential (Definition 3 is stateful).
-      int64_t last = MaxPersistedLocked();
-      if (point.generation_time > last) {
-        cseq_->Add(point);
-        if (cseq_->full()) st = HandleFullSeq(lock);
-      } else {
-        cnonseq_->Add(point);
-        if (cnonseq_->full()) st = HandleFullNonseq(lock);
-      }
+    storage::MemTable* mem = c0_.get();
+    BatchSource source = BatchSource::kC0;
+    if (options_.policy.kind == PolicyKind::kSeparation) {
+      // Definition 3, per point: in-order iff generated after everything
+      // persisted. A mid-batch install moves that horizon, which can flip
+      // later points of the same batch from non-sequential to sequential.
+      const bool in_order = point.generation_time > MaxPersistedLocked();
+      mem = in_order ? cseq_.get() : cnonseq_.get();
+      source = in_order ? BatchSource::kSeq : BatchSource::kNonseq;
+    }
+    mem->Add(point);
+    if (mem->full()) {
+      FreezeLocked(mem, source);
+      if (!options_.background_mode) st = InstallFrozenLocked(lock);
     }
   }
   if (st.ok()) st = MaybeCheckpointWalLocked(lock);
@@ -743,335 +627,302 @@ Status TsEngine::AppendBatchLocked(const DataPoint* points, size_t count,
   return st;
 }
 
-Status TsEngine::HandleFullConventional(std::unique_lock<std::mutex>& lock) {
-  if (options_.background_mode) return EnqueueFlushLocked(c0_.get());
-  return MergeLocked(c0_->Drain(), lock);
-}
-
-Status TsEngine::HandleFullSeq(std::unique_lock<std::mutex>& lock) {
-  if (options_.background_mode) return EnqueueFlushLocked(cseq_.get());
-  return FlushAboveRunLocked(cseq_->Drain(), lock);
-}
-
-Status TsEngine::HandleFullNonseq(std::unique_lock<std::mutex>& lock) {
-  if (options_.background_mode) return EnqueueFlushLocked(cnonseq_.get());
-  return MergeLocked(cnonseq_->Drain(), lock);
-}
-
-Status TsEngine::EnqueueFlushLocked(storage::MemTable* mem) {
-  // Freeze the full MemTable into an immutable batch and hand it to a
-  // background flush job. The batch stays in `pending_flushes_` — and in
-  // every read snapshot — until its level-0 file is installed, so no
-  // accepted point ever becomes invisible. Clear() gives the MemTable a
-  // fresh map, leaving the frozen view untouched.
-  pending_flushes_.push_back(mem->SnapshotView());
+void TsEngine::FreezeLocked(storage::MemTable* mem, BatchSource source) {
+  if (mem->empty()) return;
+  // The view keeps the frozen map; Clear() gives the MemTable a fresh one.
+  pending_flushes_.push_back({mem->SnapshotView(), source});
   mem->Clear();
+  ++batches_frozen_;
   MaybeScheduleFlushLocked();
+}
+
+void TsEngine::FreezeMemTablesLocked() {
+  if (options_.policy.kind == PolicyKind::kConventional) {
+    FreezeLocked(c0_.get(), BatchSource::kC0);
+    return;
+  }
+  // C_nonseq first: merging it never raises the run's max key above
+  // C_seq's minimum, so the C_seq batch behind it still flushes above the
+  // run.
+  FreezeLocked(cnonseq_.get(), BatchSource::kNonseq);
+  FreezeLocked(cseq_.get(), BatchSource::kSeq);
+}
+
+Status TsEngine::InstallFrozenLocked(std::unique_lock<std::mutex>& lock) {
+  const uint64_t target = batches_frozen_;
+  while (batches_installed_ < target) {
+    if (background_error_set_) return background_error_;
+    if (options_.background_mode || pipeline_busy_) {
+      // The flush jobs — or another appender running the inline pipeline —
+      // install the batches; every install step notifies.
+      background_cv_.wait(lock);
+      continue;
+    }
+    pipeline_busy_ = true;
+    Status st = InstallFrontBatchLocked(lock);
+    if (st.ok()) st = CompactInlineLocked(lock);
+    pipeline_busy_ = false;
+    background_cv_.notify_all();
+    SEPLSM_RETURN_IF_ERROR(st);
+  }
   return Status::OK();
 }
 
-storage::MemTable::View TsEngine::EnterRunTurnstileLocked(
-    const std::vector<DataPoint>& points, std::unique_lock<std::mutex>& lock) {
-  // Register the drained points as a snapshot-visible frozen batch BEFORE
-  // waiting: a query racing this mutation must see them somewhere — they
-  // are already out of the MemTable, not yet in the run.
-  auto batch = std::make_shared<storage::MemTable::PointMap>();
-  for (const auto& p : points) {
-    batch->emplace_hint(batch->end(), p.generation_time, p);
-  }
-  sync_merge_batches_.push_back(batch);
-  const uint64_t ticket = sync_turnstile_next_++;
-  background_cv_.wait(
-      lock, [this, ticket] { return sync_turnstile_serving_ == ticket; });
-  return batch;
-}
-
-void TsEngine::LeaveRunTurnstileLocked(const storage::MemTable::View& batch) {
-  auto it = std::find(sync_merge_batches_.begin(), sync_merge_batches_.end(),
-                      batch);
-  assert(it != sync_merge_batches_.end());
-  sync_merge_batches_.erase(it);
-  ++sync_turnstile_serving_;
-  background_cv_.notify_all();
-}
-
-Status TsEngine::FlushAboveRunLocked(std::vector<DataPoint> points,
-                                     std::unique_lock<std::mutex>& lock) {
-  if (points.empty()) return Status::OK();
-  storage::MemTable::View batch = EnterRunTurnstileLocked(points, lock);
-  // Check for overlap only now, with the turnstile held: a queued mutation
-  // ahead of us may have changed the run's upper bound while we waited.
-  // A stacked level 1 accepts any file, so the flush path always applies.
-  const bool stacked_l1 =
-      version_.layout(1) == storage::LevelLayout::kStacked;
-  int64_t run_max = stacked_l1 || version_.run().empty()
-                        ? kNoData
-                        : version_.run().back()->max_generation_time;
+Status TsEngine::InstallFrontBatchLocked(std::unique_lock<std::mutex>& lock) {
+  // A copy: appends may grow the list while the lock is released for I/O.
+  // Only one installer runs at a time (the job token, the inline pipeline,
+  // or the destructor), so the front stays this batch.
+  const PendingBatch batch = pending_flushes_.front();
   Status st;
-  if (run_max != kNoData && points.front().generation_time <= run_max) {
-    // Defensive: overlap (e.g. right after a policy switch) — fall back to
-    // a real merge (which records its own COMPACTION span).
-    st = MergeTurnstileHeld(std::move(points), lock);
+  if (options_.background_mode) {
+    st = FlushBatchLocked(batch.points, 0, lock);
+  } else if (version_.layout(1) == storage::LevelLayout::kStacked ||
+             (batch.source == BatchSource::kSeq &&
+              (version_.run().empty() ||
+               batch.points->begin()->first >
+                   version_.run().back()->max_generation_time))) {
+    // A C_seq batch above the run is appended to it; a stacked (tiering)
+    // level 1 never merges on ingest and takes any batch as-is.
+    st = FlushBatchLocked(batch.points, 1, lock);
   } else {
+    // C0/C_nonseq — or a C_seq batch that overlaps the run, e.g. right
+    // after a policy switch: a real merge, recorded even when the batch
+    // overlaps nothing.
     telemetry::ScopedSpan span(telemetry_, options_.clock,
-                               telemetry::SpanType::kFlush,
+                               telemetry::SpanType::kCompaction,
                                telemetry_series_id_);
-    std::vector<storage::FileMetadata> files;
-    st = storage::WriteSortedPointsAsTables(
-        options_.env, options_.dir, points, options_.sstable_points,
-        options_.points_per_block, &next_file_number_, &files,
-        options_.value_encoding, MetaConfig());
-    if (st.ok()) {
-      uint64_t bytes_out = 0;
-      span.set_files(files.size());
-      for (auto& f : files) {
-        metrics_.bytes_written += f.file_bytes;
-        ++metrics_.files_created;
-        bytes_out += f.file_bytes;
-        st = version_.AppendToRun(std::move(f));
-        if (!st.ok()) break;
-      }
-      span.set_bytes(bytes_out);
+    span.set_level(1);
+    st = MergeIntoLevelLocked(1, batch.points, nullptr, &span, lock, nullptr);
+  }
+  SEPLSM_RETURN_IF_ERROR(st);
+  pending_flushes_.erase(pending_flushes_.begin());
+  ++batches_installed_;
+  return Status::OK();
+}
+
+Status TsEngine::FlushBatchLocked(const storage::MemTable::View& batch,
+                                  size_t level,
+                                  std::unique_lock<std::mutex>& lock) {
+  assert(!batch->empty());
+  telemetry::ScopedSpan span(telemetry_, options_.clock,
+                             telemetry::SpanType::kFlush,
+                             telemetry_series_id_);
+  // A batch holds each key once, so its file count is known up front and
+  // the numbers can be reserved before the lock is released.
+  const size_t per_file = level == 0 ? batch->size() : options_.sstable_points;
+  uint64_t file_no = next_file_number_;
+  next_file_number_ += (batch->size() + per_file - 1) / per_file;
+  lock.unlock();
+  // Stream the frozen view straight into the table writer — no
+  // materialized copy of the batch.
+  storage::MemTableViewIterator input(batch);
+  std::vector<storage::FileMetadata> files;
+  Status st = storage::WriteSortedPointsAsTables(
+      options_.env, options_.dir, &input, per_file, options_.points_per_block,
+      &file_no, &files, options_.value_encoding, MetaConfig());
+  lock.lock();
+  SEPLSM_RETURN_IF_ERROR(st);
+  uint64_t bytes_out = 0;
+  span.set_files(files.size());
+  for (auto& f : files) {
+    metrics_.bytes_written += f.file_bytes;
+    ++metrics_.files_created;
+    bytes_out += f.file_bytes;
+    SEPLSM_RETURN_IF_ERROR(version_.AppendToLevel(level, std::move(f)));
+  }
+  span.set_bytes(bytes_out);
+  span.set_points(batch->size());
+  metrics_.points_flushed += batch->size();
+  ++metrics_.flush_count;
+  return Status::OK();
+}
+
+Status TsEngine::MergeIntoLevelLocked(
+    size_t target, const storage::MemTable::View& batch,
+    const storage::FilePtr& file, telemetry::ScopedSpan* span,
+    std::unique_lock<std::mutex>& lock,
+    std::vector<storage::FileMetadata>* residual) {
+  const bool buffered = batch != nullptr;
+  const int64_t lo =
+      buffered ? batch->begin()->first : file->min_generation_time;
+  const int64_t hi =
+      buffered ? batch->rbegin()->first : file->max_generation_time;
+  const uint64_t input_points = buffered ? batch->size() : file->point_count;
+  size_t begin, end;
+  version_.OverlappingLevelRange(target, lo, hi, &begin, &end);
+
+  // Bounded jobs (file inputs only): with a cap of K input files, merge the
+  // file's head with the first K-1 overlapping target files and hand its
+  // tail back as `residual`, so the next job on the source level resumes
+  // from the boundary. Progress is guaranteed: the boundary is at least the
+  // first overlap file's max, which is >= the file's min, so the head is
+  // never empty. A cap below 2 could never make progress and is clamped.
+  size_t cap = buffered ? 0 : options_.max_compaction_input_files;
+  if (cap == 1) cap = 2;
+  const bool capped = cap > 0 && end - begin + 1 > cap;
+  if (capped) end = begin + (cap - 1);
+  std::vector<storage::FilePtr> slice(version_.level(target).begin() + begin,
+                                      version_.level(target).begin() + end);
+  // Overlap files beyond the cap have min > split_max (disjoint sorted
+  // level), so split_max < INT64_MAX here and split_max + 1 is safe.
+  const int64_t split_max = capped ? slice.back()->max_generation_time : 0;
+  uint64_t slice_points = 0;
+  for (const auto& f : slice) slice_points += f->point_count;
+
+  // Reserve output file numbers: writers allocate numbers under the lock
+  // we are about to release. Dedup only shrinks the output, so input size
+  // bounds the file count; unused reservations just leave gaps.
+  uint64_t file_no = next_file_number_;
+  next_file_number_ +=
+      (input_points + slice_points) / options_.sstable_points + 2;
+  if (capped) next_file_number_ += input_points / options_.sstable_points + 2;
+
+  // All table I/O streams without the engine lock, holding one decoded
+  // block per input. Safe because the caller is the only mutator of levels
+  // >= 1 (the job token, or the inline pipeline / recovery in synchronous
+  // mode) and writers only append level-0 files behind the front, so
+  // `begin`/`end` stay valid; readers keep the inputs visible through their
+  // snapshots (files) and the pending list (batches) until the output is
+  // installed atomically. Cancellation (shutdown) is checked between
+  // blocks; aborting is safe — nothing was installed and the writer
+  // removes its partial outputs.
+  lock.unlock();
+  std::vector<storage::FileMetadata> new_files;
+  std::vector<storage::FileMetadata> tail_files;
+  storage::ReadStats rstats;
+  uint64_t disk_subsequent = 0;
+  Status st = [&]() -> Status {
+    if (cancel_bg_.load(std::memory_order_relaxed)) {
+      return Status::Aborted("engine shutting down");
     }
-    if (st.ok()) {
-      metrics_.points_flushed += points.size();
-      ++metrics_.flush_count;
-      span.set_points(points.size());
+    // One-pass scans: never insert into the block cache (hot query blocks
+    // survive the merge), account device traffic to the compaction
+    // counters.
+    storage::ReadOptions ropts;
+    ropts.fill_cache = false;
+    ropts.stats = &rstats;
+    using Iters = std::vector<std::unique_ptr<storage::PointIterator>>;
+    auto scan = [&](const storage::FileMetadata& f, Iters* out) -> Status {
+      auto reader = OpenTableReader(f);
+      if (!reader.ok()) return reader.status();
+      out->push_back(std::make_unique<storage::SSTableIterator>(
+          std::shared_ptr<const storage::SSTableReader>(
+              std::move(reader).value()),
+          ropts));
+      return Status::OK();
+    };
+    // The newest input is the first merge child, so its version wins on
+    // duplicate generation times.
+    Iters children;
+    std::vector<DataPoint> tail;
+    if (buffered) {
+      children.push_back(
+          std::make_unique<storage::MemTableViewIterator>(batch));
+    } else if (capped) {
+      std::vector<DataPoint> head;
+      SEPLSM_RETURN_IF_ERROR(
+          ReadTableRange(*file, lo, split_max, &head, &rstats));
+      SEPLSM_RETURN_IF_ERROR(
+          ReadTableRange(*file, split_max + 1, hi, &tail, &rstats));
+      children.push_back(
+          std::make_unique<storage::VectorIterator>(std::move(head)));
+    } else {
+      SEPLSM_RETURN_IF_ERROR(scan(*file, &children));
+    }
+    Iters slice_iters;
+    for (const auto& f : slice) SEPLSM_RETURN_IF_ERROR(scan(*f, &slice_iters));
+    if (!slice_iters.empty()) {
+      // The slice is disjoint and ordered, so chaining it yields one sorted
+      // stream: the heap merge is 2-way no matter how many files overlap.
+      std::unique_ptr<storage::PointIterator> disk =
+          slice_iters.size() == 1
+              ? std::move(slice_iters[0])
+              : std::make_unique<storage::ConcatenatingIterator>(
+                    std::move(slice_iters));
+      if (buffered && options_.record_merge_events) {
+        disk = std::make_unique<SubsequentCountingIterator>(
+            std::move(disk), lo, &disk_subsequent);
+      }
+      children.push_back(std::move(disk));
+    }
+    storage::MergingIterator merged(std::move(children));
+    SEPLSM_RETURN_IF_ERROR(storage::WriteSortedPointsAsTables(
+        options_.env, options_.dir, &merged, options_.sstable_points,
+        options_.points_per_block, &file_no, &new_files,
+        options_.value_encoding, MetaConfig(), &cancel_bg_));
+    if (tail.empty()) return Status::OK();
+    return storage::WriteSortedPointsAsTables(
+        options_.env, options_.dir, tail, options_.sstable_points,
+        options_.points_per_block, &file_no, &tail_files,
+        options_.value_encoding, MetaConfig());
+  }();
+  lock.lock();
+  metrics_.compaction_bytes_read += rstats.device_bytes_read;
+  metrics_.compaction_blocks_read += rstats.blocks_read;
+  if (!st.ok()) {
+    // Nothing was installed and the inputs are all still live. The failed
+    // writer removed its own partial tables; drop the merged output too if
+    // the residual write is what failed, or recovery would adopt it.
+    for (const auto& f : new_files) options_.env->RemoveFile(f.path);
+    return st;
+  }
+
+  uint64_t output_points = 0;
+  uint64_t output_bytes = 0;
+  for (const auto* files : {&new_files, &tail_files}) {
+    for (const auto& f : *files) {
+      metrics_.bytes_written += f.file_bytes;
+      ++metrics_.files_created;
+      output_points += f.point_count;
+      output_bytes += f.file_bytes;
     }
   }
-  if (st.ok()) st = CascadeCompactionsTurnstileHeld(lock);
-  LeaveRunTurnstileLocked(batch);
-  return st;
+  const uint64_t output_files = new_files.size() + tail_files.size();
+  span->set_points(input_points + slice_points);
+  span->set_bytes(output_bytes);
+  span->set_files(output_files);
+  SEPLSM_RETURN_IF_ERROR(
+      version_.ReplaceLevelSlice(target, begin, end, std::move(new_files)));
+  for (const auto& f : slice) ScheduleTableDeleteLocked(f);
+
+  // WA accounting from file metadata: a file input's points were flushed
+  // once already, so folding them in counts as rewrites, as does every
+  // point of the overlapped slice.
+  const uint64_t disk_points = slice_points + (buffered ? 0 : input_points);
+  if (buffered) metrics_.points_flushed += input_points;
+  metrics_.points_rewritten += disk_points;
+  ++metrics_.merge_count;
+  metrics_.compaction_bytes_written += output_bytes;
+  LevelStats& lstats = metrics_.level_stats[target];
+  ++lstats.compactions;
+  lstats.compaction_bytes_read += rstats.device_bytes_read;
+  lstats.compaction_bytes_written += output_bytes;
+  // The default two-level level-0 fold records no event, matching the
+  // original engine; MemTable merges always do, and so do deeper trees and
+  // capped jobs, so per-job input sizes are observable.
+  if (options_.record_merge_events &&
+      (buffered || target > 1 || version_.num_levels() > 2 ||
+       options_.max_compaction_input_files > 0)) {
+    MergeEvent event;
+    event.buffered_points = buffered ? input_points : 0;
+    event.disk_points_rewritten = disk_points;
+    event.disk_points_subsequent = disk_subsequent;
+    event.output_points = output_points;
+    event.input_files = slice.size() + (buffered ? 0 : 1);
+    event.output_files = output_files;
+    event.level = static_cast<uint32_t>(target);
+    metrics_.merge_events.push_back(event);
+  }
+  if (residual != nullptr) *residual = std::move(tail_files);
+  return Status::OK();
 }
 
-Status TsEngine::MergeLocked(std::vector<DataPoint> points,
-                             std::unique_lock<std::mutex>& lock) {
-  if (points.empty()) return Status::OK();
-  storage::MemTable::View batch = EnterRunTurnstileLocked(points, lock);
-  Status st = MergeTurnstileHeld(std::move(points), lock);
-  if (st.ok()) st = CascadeCompactionsTurnstileHeld(lock);
-  LeaveRunTurnstileLocked(batch);
-  return st;
-}
-
-Status TsEngine::CascadeCompactionsTurnstileHeld(
-    std::unique_lock<std::mutex>& lock) {
-  // Background mode pushes files down through per-level jobs instead, and
-  // under the default two levels there is nothing below the run to push to
-  // (the deepest level never compacts), so this is a no-op in both cases.
-  if (options_.background_mode) return Status::OK();
-  for (size_t n = 1; n + 1 < version_.num_levels(); ++n) {
+Status TsEngine::CompactInlineLocked(std::unique_lock<std::mutex>& lock) {
+  for (size_t n = 0; n + 1 < version_.num_levels(); ++n) {
     while (LevelNeedsCompactionLocked(n)) {
       SEPLSM_RETURN_IF_ERROR(CompactLevel(n, lock));
     }
   }
-  return Status::OK();
-}
-
-Status TsEngine::MergeTurnstileHeld(std::vector<DataPoint> points,
-                                    std::unique_lock<std::mutex>& lock) {
-  if (version_.layout(1) == storage::LevelLayout::kStacked) {
-    // Tiering at level 1: ingest never merges — cut the batch into tables
-    // and stack them; the cascade moves whole files down later.
-    telemetry::ScopedSpan span(telemetry_, options_.clock,
-                               telemetry::SpanType::kFlush,
-                               telemetry_series_id_);
-    std::vector<storage::FileMetadata> files;
-    Status st = storage::WriteSortedPointsAsTables(
-        options_.env, options_.dir, points, options_.sstable_points,
-        options_.points_per_block, &next_file_number_, &files,
-        options_.value_encoding, MetaConfig());
-    if (st.ok()) {
-      uint64_t bytes_out = 0;
-      span.set_files(files.size());
-      for (auto& f : files) {
-        metrics_.bytes_written += f.file_bytes;
-        ++metrics_.files_created;
-        bytes_out += f.file_bytes;
-        st = version_.AppendToLevel(1, std::move(f));
-        if (!st.ok()) break;
-      }
-      span.set_bytes(bytes_out);
-    }
-    if (st.ok()) {
-      metrics_.points_flushed += points.size();
-      ++metrics_.flush_count;
-      span.set_points(points.size());
-    }
-    return st;
-  }
-  telemetry::ScopedSpan span(telemetry_, options_.clock,
-                             telemetry::SpanType::kCompaction,
-                             telemetry_series_id_);
-  span.set_level(1);
-  const int64_t lo = points.front().generation_time;
-  const int64_t hi = points.back().generation_time;
-  size_t begin, end;
-  version_.OverlappingRunRange(lo, hi, &begin, &end);
-  std::vector<storage::FilePtr> old_files(version_.run().begin() + begin,
-                                          version_.run().begin() + end);
-  uint64_t rewritten = 0;
-  for (const auto& f : old_files) rewritten += f->point_count;
-  // Reserve output file numbers: concurrent writers allocate numbers under
-  // the lock we are about to release. Dedup only shrinks the output, so
-  // input size bounds the file count; unused reservations just leave gaps.
-  uint64_t file_no = next_file_number_;
-  next_file_number_ +=
-      (points.size() + rewritten) / options_.sstable_points + 2;
-
-  // All table I/O streams without the engine lock — a merge of an
-  // arbitrarily large run slice no longer stalls ingest, and holds one
-  // block per input instead of three materialized copies. The turnstile
-  // guarantees we are the only run mutator, so `begin`/`end` stay valid;
-  // readers keep the inputs visible through their snapshots (files) and the
-  // turnstile batch (points) until the output is installed atomically.
-  lock.unlock();
-  std::vector<storage::FileMetadata> new_files;
-  storage::ReadStats rstats;
-  uint64_t disk_subsequent = 0;
-  Status st = StreamMergeToTables(
-      std::make_unique<storage::VectorIterator>(&points), old_files, &file_no,
-      &new_files, &rstats, lo,
-      options_.record_merge_events ? &disk_subsequent : nullptr);
-  lock.lock();
-  metrics_.compaction_bytes_read += rstats.device_bytes_read;
-  metrics_.compaction_blocks_read += rstats.blocks_read;
-  // On failure nothing was installed and the streaming writer already
-  // removed its partial outputs; the inputs are all still live.
-  SEPLSM_RETURN_IF_ERROR(st);
-
-  uint64_t output_points = 0;
-  uint64_t output_bytes = 0;
-  for (const auto& f : new_files) {
-    metrics_.bytes_written += f.file_bytes;
-    ++metrics_.files_created;
-    output_points += f.point_count;
-    output_bytes += f.file_bytes;
-  }
-  uint64_t output_files = new_files.size();
-  span.set_points(points.size() + rewritten);
-  span.set_bytes(output_bytes);
-  span.set_files(output_files);
-  SEPLSM_RETURN_IF_ERROR(
-      version_.ReplaceRunSlice(begin, end, std::move(new_files)));
-  for (auto& f : old_files) {
-    ScheduleTableDeleteLocked(std::move(f));
-  }
-
-  metrics_.points_flushed += points.size();
-  metrics_.points_rewritten += rewritten;
-  ++metrics_.merge_count;
-  metrics_.compaction_bytes_written += output_bytes;
-  LevelStats& lstats = metrics_.level_stats[1];
-  ++lstats.compactions;
-  lstats.compaction_bytes_read += rstats.device_bytes_read;
-  lstats.compaction_bytes_written += output_bytes;
-  if (options_.record_merge_events) {
-    MergeEvent event;
-    event.buffered_points = points.size();
-    event.disk_points_rewritten = rewritten;
-    event.disk_points_subsequent = disk_subsequent;
-    event.output_points = output_points;
-    event.input_files = old_files.size();
-    event.output_files = output_files;
-    metrics_.merge_events.push_back(event);
-  }
-  return Status::OK();
-}
-
-Status TsEngine::StreamMergeToTables(
-    std::unique_ptr<storage::PointIterator> newest,
-    const std::vector<storage::FilePtr>& old_files, uint64_t* next_file_no,
-    std::vector<storage::FileMetadata>* new_files, storage::ReadStats* stats,
-    int64_t subsequent_threshold, uint64_t* disk_points_subsequent) {
-  storage::ReadOptions ropts;
-  // One-pass scan: never insert into the block cache (hot query blocks
-  // survive the merge), account device traffic to the compaction counters.
-  ropts.fill_cache = false;
-  ropts.stats = stats;
-  std::vector<std::unique_ptr<storage::PointIterator>> run_iters;
-  run_iters.reserve(old_files.size());
-  for (const auto& f : old_files) {
-    auto reader = OpenTableReader(*f);
-    if (!reader.ok()) return reader.status();
-    run_iters.push_back(std::make_unique<storage::SSTableIterator>(
-        std::shared_ptr<const storage::SSTableReader>(
-            std::move(reader).value()),
-        ropts));
-  }
-  std::vector<std::unique_ptr<storage::PointIterator>> children;
-  children.push_back(std::move(newest));
-  if (!run_iters.empty()) {
-    // The overlapped run files are disjoint and ordered, so chaining them
-    // yields one sorted stream: the heap merge is 2-way no matter how many
-    // files overlap.
-    std::unique_ptr<storage::PointIterator> disk =
-        run_iters.size() == 1
-            ? std::move(run_iters[0])
-            : std::make_unique<storage::ConcatenatingIterator>(
-                  std::move(run_iters));
-    if (disk_points_subsequent != nullptr) {
-      disk = std::make_unique<SubsequentCountingIterator>(
-          std::move(disk), subsequent_threshold, disk_points_subsequent);
-    }
-    children.push_back(std::move(disk));
-  }
-  storage::MergingIterator merged(std::move(children));
-  return storage::WriteSortedPointsAsTables(
-      options_.env, options_.dir, &merged, options_.sstable_points,
-      options_.points_per_block, next_file_no, new_files,
-      options_.value_encoding, MetaConfig(), &cancel_bg_);
-}
-
-Result<storage::FileMetadata> TsEngine::WriteTableFile(
-    storage::PointIterator* input, uint64_t file_no) {
-  std::string path = storage::TableFilePath(options_.dir, file_no);
-  auto meta = [&]() -> Result<storage::FileMetadata> {
-    storage::SSTableWriter writer(options_.env, path,
-                                  options_.points_per_block,
-                                  options_.value_encoding, MetaConfig());
-    for (; input->Valid(); input->Next()) {
-      SEPLSM_RETURN_IF_ERROR(writer.Add(input->point()));
-    }
-    SEPLSM_RETURN_IF_ERROR(input->status());
-    return writer.Finish();
-  }();
-  if (!meta.ok()) {
-    // Drop the partial table (after the writer is destroyed): recovery
-    // opens every *.sst and would fail on a truncated one. Best effort —
-    // on an env too broken to unlink, recovery still fails loudly rather
-    // than silently losing data.
-    options_.env->RemoveFile(path);
-    return meta.status();
-  }
-  meta.value().file_number = file_no;
-  return std::move(meta).value();
-}
-
-Result<storage::FileMetadata> TsEngine::WriteTableFile(
-    const std::vector<DataPoint>& points, uint64_t file_no) {
-  storage::VectorIterator input(&points);
-  return WriteTableFile(&input, file_no);
-}
-
-Status TsEngine::FlushToLevel0Locked(std::vector<DataPoint> points) {
-  if (points.empty()) return Status::OK();
-  telemetry::ScopedSpan span(telemetry_, options_.clock,
-                             telemetry::SpanType::kFlush,
-                             telemetry_series_id_);
-  uint64_t file_no = next_file_number_++;
-  auto meta = WriteTableFile(points, file_no);
-  if (!meta.ok()) return meta.status();
-  metrics_.bytes_written += meta.value().file_bytes;
-  ++metrics_.files_created;
-  metrics_.points_flushed += points.size();
-  ++metrics_.flush_count;
-  span.set_points(points.size());
-  span.set_bytes(meta.value().file_bytes);
-  span.set_files(1);
-  version_.AddLevel0(std::move(meta).value());
-  MaybeScheduleCompactionLocked();
-  background_cv_.notify_all();
   return Status::OK();
 }
 
@@ -1092,13 +943,7 @@ void TsEngine::MaybeScheduleFlushLocked() {
 }
 
 size_t TsEngine::LevelTriggerLocked(size_t level) const {
-  if (level == 0) {
-    return std::max<size_t>(1, options_.level0_compaction_trigger);
-  }
-  if (level < options_.level_file_triggers.size() &&
-      options_.level_file_triggers[level] > 0) {
-    return options_.level_file_triggers[level];
-  }
+  if (level == 0) return 1;  // every level-0 file folds as soon as it lands
   // Geometric sizing: level n holds base * ratio^(n-1) files before it
   // spills into n+1 (multiplied out to avoid pow's libm rounding).
   double trigger = static_cast<double>(options_.level_base_files);
@@ -1196,59 +1041,22 @@ void TsEngine::FlushJob(uint64_t queue_wait_micros) {
   std::unique_lock<std::mutex> lock(mutex_);
   ++metrics_.bg_flush_jobs;
   metrics_.bg_queue_wait_micros += queue_wait_micros;
-  if (pending_flushes_.empty() || shutting_down_ || background_error_set_) {
-    flush_job_scheduled_ = false;
-    background_cv_.notify_all();
-    writer_cv_.notify_all();
-    return;
-  }
   // One batch per job: the token re-enters the scheduler queue between
   // batches, so engines sharing the pool interleave fairly.
-  storage::MemTable::View batch = pending_flushes_.front();
-  uint64_t file_no = next_file_number_++;
-  flush_inflight_ = true;
-  telemetry::ScopedSpan span(telemetry_, options_.clock,
-                             telemetry::SpanType::kFlush,
-                             telemetry_series_id_);
-  lock.unlock();
-
-  // Stream the frozen view straight into the table writer — no
-  // materialized copy of the batch.
-  storage::MemTableViewIterator input(batch);
-  auto meta = WriteTableFile(&input, file_no);
-
-  lock.lock();
-  flush_inflight_ = false;
-  if (!meta.ok()) {
+  Status st;
+  if (!pending_flushes_.empty() && !shutting_down_ && !background_error_set_) {
+    st = InstallFrontBatchLocked(lock);
+  }
+  flush_job_scheduled_ = false;
+  if (!st.ok()) {
     // The batch stays pending (and visible to readers); the engine is
     // poisoned like any other background failure.
-    SEPLSM_LOG(Error) << "background flush failed: "
-                      << meta.status().ToString();
+    SEPLSM_LOG(Error) << "background flush failed: " << st.ToString();
     background_error_set_ = true;
-    background_error_ = meta.status();
-    flush_job_scheduled_ = false;
-    background_cv_.notify_all();
-    writer_cv_.notify_all();
-    return;
-  }
-  metrics_.bytes_written += meta.value().file_bytes;
-  ++metrics_.files_created;
-  metrics_.points_flushed += batch->size();
-  ++metrics_.flush_count;
-  span.set_points(batch->size());
-  span.set_bytes(meta.value().file_bytes);
-  span.set_files(1);
-  span.Finish();
-  version_.AddLevel0(std::move(meta).value());
-  pending_flushes_.erase(pending_flushes_.begin());
-  MaybeScheduleCompactionLocked();
-  if (!pending_flushes_.empty() && !shutting_down_) {
-    Status st = options_.job_scheduler->Submit(
-        job_token_, JobScheduler::JobKind::kFlush,
-        [this](uint64_t wait) { FlushJob(wait); });
-    if (!st.ok()) flush_job_scheduled_ = false;
+    background_error_ = st;
   } else {
-    flush_job_scheduled_ = false;
+    MaybeScheduleCompactionLocked();
+    MaybeScheduleFlushLocked();
   }
   background_cv_.notify_all();
   writer_cv_.notify_all();
@@ -1347,167 +1155,22 @@ Status TsEngine::CompactLevel(size_t level,
     return Status::OK();
   }
 
-  // Otherwise the source contents are re-written into the target level.
-  // Their points were already flushed once; folding them in counts as
-  // rewrites, as does every point of the overlapped target slice.
-  std::vector<storage::FilePtr> old_files(
-      version_.level(target).begin() + begin,
-      version_.level(target).begin() + end);
-
-  // Bounded jobs: with a cap of K input files, merge the source's head
-  // with the first K-1 overlapping target files and rewrite the residual
-  // source tail back in place, so the next job on this level resumes from
-  // the boundary. Progress is guaranteed: the boundary is at least the
-  // first overlap file's max, which is >= the source's min, so the head is
-  // never empty. A cap below 2 could never make progress and is clamped.
-  size_t cap = options_.max_compaction_input_files;
-  if (cap == 1) cap = 2;
-  const bool capped = cap > 0 && old_files.size() + 1 > cap;
-  int64_t split_max = 0;
-  if (capped) {
-    old_files.resize(cap - 1);
-    end = begin + (cap - 1);
-    // Overlap files beyond the cap have min > split_max (disjoint sorted
-    // level), so split_max < INT64_MAX here and split_max + 1 is safe.
-    split_max = old_files.back()->max_generation_time;
-  }
-
-  // Reserve output file numbers now: writers allocate numbers under the
-  // lock we are about to release. Unused reservations just leave gaps.
-  uint64_t input_points = src->point_count;
-  for (const auto& f : old_files) input_points += f->point_count;
-  uint64_t file_no = next_file_number_;
-  next_file_number_ += input_points / options_.sstable_points + 2;
-  if (capped) {
-    // The residual tail gets its own table(s) from the same reservation.
-    next_file_number_ += src->point_count / options_.sstable_points + 2;
-  }
-
-  // All table I/O streams without the engine lock, so ingest keeps flowing
-  // while the merge reads and writes — and the merge holds one decoded
-  // block per input instead of materializing every overlapping file. Safe
-  // because the compactor is the only mutator of levels >= 1 while the
-  // lock is released (the job token serializes background jobs; the run
-  // turnstile or single-threaded recovery covers sync mode) and writers
-  // only append level-0 files behind the front, so `begin`/`end`, `src`,
-  // and `src_idx` stay valid. Cancellation (shutdown) is checked by the
-  // streaming writer between blocks; aborting is safe — nothing was
-  // installed, the inputs are all still live, and the writer removed its
-  // partial outputs.
-  lock.unlock();
-  std::vector<storage::FileMetadata> new_files;
-  std::vector<storage::FileMetadata> residual_files;
-  storage::ReadStats rstats;
-  uint64_t tail_points = 0;
-  Status st;
-  if (cancel_bg_.load(std::memory_order_relaxed)) {
-    st = Status::Aborted("engine shutting down");
-  } else if (capped) {
-    // Split the source at the cap boundary: the head merges with the
-    // retained overlap, the tail is rewritten back into the source level.
-    std::vector<DataPoint> head, tail;
-    st = ReadTableRange(*src, src->min_generation_time, split_max, &head,
-                        &rstats);
-    if (st.ok()) {
-      st = ReadTableRange(*src, split_max + 1, src->max_generation_time,
-                          &tail, &rstats);
-    }
-    if (st.ok()) {
-      tail_points = tail.size();
-      // The source holds the newest version of every key it carries: first
-      // merge child, so it wins on duplicate generation times.
-      st = StreamMergeToTables(
-          std::make_unique<storage::VectorIterator>(&head), old_files,
-          &file_no, &new_files, &rstats, 0, nullptr);
-    }
-    if (st.ok() && !tail.empty()) {
-      st = storage::WriteSortedPointsAsTables(
-          options_.env, options_.dir, tail, options_.sstable_points,
-          options_.points_per_block, &file_no, &residual_files,
-          options_.value_encoding, MetaConfig());
-    }
-  } else {
-    storage::ReadOptions src_opts;
-    src_opts.fill_cache = false;
-    src_opts.stats = &rstats;
-    auto src_reader = OpenTableReader(*src);
-    if (!src_reader.ok()) {
-      st = src_reader.status();
-    } else {
-      // The source file is the newest data for every key it holds: first
-      // merge child, so its version wins on duplicate generation times.
-      st = StreamMergeToTables(
-          std::make_unique<storage::SSTableIterator>(
-              std::shared_ptr<const storage::SSTableReader>(
-                  std::move(src_reader).value()),
-              src_opts),
-          old_files, &file_no, &new_files, &rstats, 0, nullptr);
-    }
-  }
-  lock.lock();
-  metrics_.compaction_bytes_read += rstats.device_bytes_read;
-  metrics_.compaction_blocks_read += rstats.blocks_read;
-  // On failure the source file is still in the version: no data was lost,
-  // and a later retry (or recovery) picks it up again.
-  SEPLSM_RETURN_IF_ERROR(st);
-
-  uint64_t rewritten = src->point_count;
-  for (const auto& f : old_files) rewritten += f->point_count;
-  uint64_t bytes_out = 0;
-  uint64_t output_points = tail_points;
-  for (const auto& f : new_files) {
-    metrics_.bytes_written += f.file_bytes;
-    ++metrics_.files_created;
-    bytes_out += f.file_bytes;
-    output_points += f.point_count;
-  }
-  for (const auto& f : residual_files) {
-    metrics_.bytes_written += f.file_bytes;
-    ++metrics_.files_created;
-    bytes_out += f.file_bytes;
-  }
-  const uint64_t output_files = new_files.size() + residual_files.size();
-  const uint64_t input_files = old_files.size() + 1;
-  span.set_points(rewritten);
-  span.set_bytes(bytes_out);
-  span.set_files(output_files);
+  // Otherwise the source contents are merged into the target level; a
+  // capped job's residual tail replaces the source file in place (for a
+  // sorted source its pieces stay inside the old range, for a stacked one
+  // they are disjoint fragments of a single arrival, so order among them is
+  // immaterial). On failure the source is still in the version: no data
+  // was lost, and a later retry (or recovery) picks it up again.
+  std::vector<storage::FileMetadata> residual;
   SEPLSM_RETURN_IF_ERROR(
-      version_.ReplaceLevelSlice(target, begin, end, std::move(new_files)));
-  if (capped) {
-    // The residual replaces the source file in place: for a sorted source
-    // its pieces stay inside the old range, for a stacked one they are
-    // disjoint fragments of a single arrival, so order among them is
-    // immaterial.
-    SEPLSM_RETURN_IF_ERROR(version_.ReplaceLevelSlice(
-        level, src_idx, src_idx + 1, std::move(residual_files)));
-  } else {
+      MergeIntoLevelLocked(target, nullptr, src, &span, lock, &residual));
+  if (residual.empty()) {
     version_.RemoveFileAt(level, src_idx);
+  } else {
+    SEPLSM_RETURN_IF_ERROR(version_.ReplaceLevelSlice(
+        level, src_idx, src_idx + 1, std::move(residual)));
   }
   ScheduleTableDeleteLocked(std::move(src));
-  for (auto& f : old_files) {
-    ScheduleTableDeleteLocked(std::move(f));
-  }
-  metrics_.points_rewritten += rewritten;
-  ++metrics_.merge_count;
-  metrics_.compaction_bytes_written += bytes_out;
-  LevelStats& lstats = metrics_.level_stats[target];
-  ++lstats.compactions;
-  lstats.compaction_bytes_read += rstats.device_bytes_read;
-  lstats.compaction_bytes_written += bytes_out;
-  if (options_.record_merge_events &&
-      (level > 0 || version_.num_levels() > 2 ||
-       options_.max_compaction_input_files > 0)) {
-    // The default two-level level-0 fold records no event, matching the
-    // original engine; deeper trees and capped jobs do, so per-job input
-    // sizes are observable (level = destination).
-    MergeEvent event;
-    event.disk_points_rewritten = rewritten;
-    event.output_points = output_points;
-    event.input_files = input_files;
-    event.output_files = output_files;
-    event.level = static_cast<uint32_t>(target);
-    metrics_.merge_events.push_back(event);
-  }
   return Status::OK();
 }
 
@@ -1557,52 +1220,8 @@ Status TsEngine::ReadTableRange(const storage::FileMetadata& file, int64_t lo,
 }
 
 Status TsEngine::DrainMemTablesLocked(std::unique_lock<std::mutex>& lock) {
-  if (options_.background_mode) {
-    // Wait out an in-flight flush job (it holds a view of the front batch
-    // with a file number reserved), then persist the remaining frozen
-    // batches synchronously, oldest first, so "drained" really means
-    // everything accepted is on disk.
-    background_cv_.wait(lock, [this] {
-      return !flush_inflight_ || background_error_set_;
-    });
-    if (background_error_set_) return background_error_;
-    while (!pending_flushes_.empty()) {
-      std::vector<DataPoint> points = BatchPoints(*pending_flushes_.front());
-      SEPLSM_RETURN_IF_ERROR(FlushToLevel0Locked(std::move(points)));
-      pending_flushes_.erase(pending_flushes_.begin());
-    }
-  }
-  if (options_.policy.kind == PolicyKind::kConventional) {
-    if (!c0_->empty()) {
-      std::vector<DataPoint> points = c0_->Drain();
-      if (options_.background_mode) {
-        SEPLSM_RETURN_IF_ERROR(FlushToLevel0Locked(std::move(points)));
-      } else {
-        SEPLSM_RETURN_IF_ERROR(MergeLocked(std::move(points), lock));
-      }
-    }
-  } else {
-    // Merge out-of-order data first; flushing C_seq afterwards keeps the
-    // append fast path valid (the merge never raises the run's max key
-    // above C_seq's minimum).
-    if (!cnonseq_->empty()) {
-      std::vector<DataPoint> points = cnonseq_->Drain();
-      if (options_.background_mode) {
-        SEPLSM_RETURN_IF_ERROR(FlushToLevel0Locked(std::move(points)));
-      } else {
-        SEPLSM_RETURN_IF_ERROR(MergeLocked(std::move(points), lock));
-      }
-    }
-    if (!cseq_->empty()) {
-      std::vector<DataPoint> points = cseq_->Drain();
-      if (options_.background_mode) {
-        SEPLSM_RETURN_IF_ERROR(FlushToLevel0Locked(std::move(points)));
-      } else {
-        SEPLSM_RETURN_IF_ERROR(FlushAboveRunLocked(std::move(points), lock));
-      }
-    }
-  }
-  return Status::OK();
+  FreezeMemTablesLocked();
+  return InstallFrozenLocked(lock);
 }
 
 Status TsEngine::SyncWalLocked() {
@@ -1666,8 +1285,7 @@ Status TsEngine::WaitForBackgroundIdle() {
     MaybeScheduleCompactionLocked();
     background_cv_.wait(lock, [this] {
       return background_error_set_ ||
-             (pending_flushes_.empty() && !flush_inflight_ &&
-              !AnyLevelNeedsCompactionLocked());
+             (pending_flushes_.empty() && !AnyLevelNeedsCompactionLocked());
     });
     if (background_error_set_) return background_error_;
   }
@@ -1678,16 +1296,10 @@ Status TsEngine::WaitForBackgroundIdle() {
 TsEngine::ReadSnapshot TsEngine::AcquireSnapshotLocked() {
   ReadSnapshot snap;
   snap.files = version_.Snapshot();
-  // Batches drained for a sync-mode run mutation that has not installed its
-  // output yet (oldest first): without these a query racing an unlocked
-  // merge would lose sight of accepted data. They predate everything below.
-  for (const auto& batch : sync_merge_batches_) {
-    snap.mems.push_back(batch);
-  }
-  // Frozen batches a flush job has not installed yet: oldest first, below
-  // the live MemTables, mirroring the order the data was accepted in.
+  // Frozen batches not installed yet: oldest first, below the live
+  // MemTables, mirroring the order the data was accepted in.
   for (const auto& batch : pending_flushes_) {
-    snap.mems.push_back(batch);
+    snap.mems.push_back(batch.points);
   }
   if (options_.policy.kind == PolicyKind::kConventional) {
     snap.mems.push_back(c0_->SnapshotView());
@@ -2154,6 +1766,7 @@ Status TsEngine::SwitchPolicy(const PolicyConfig& config) {
     return Status::InvalidArgument(
         "separation policy requires 0 < nseq_capacity < memtable_capacity");
   }
+  Status st;
   {
     // The span covers the whole switch including the policy-mandated drain
     // — the cost Fig. 10's π_adaptive pays at every transition.
@@ -2161,7 +1774,11 @@ Status TsEngine::SwitchPolicy(const PolicyConfig& config) {
                                telemetry::SpanType::kPolicySwitch,
                                telemetry_series_id_);
     std::unique_lock<std::mutex> lock(mutex_);
-    SEPLSM_RETURN_IF_ERROR(DrainMemTablesLocked(lock));
+    // Freeze under the old policy and switch in the same lock hold: each
+    // batch keeps its source tag, so it is installed with the old policy's
+    // semantics, while appends racing the install already land in the new
+    // MemTables instead of being dropped with the old ones.
+    FreezeMemTablesLocked();
     options_.policy = config;
     if (config.kind == PolicyKind::kConventional) {
       c0_ = std::make_unique<storage::MemTable>(config.memtable_capacity);
@@ -2179,9 +1796,10 @@ Status TsEngine::SwitchPolicy(const PolicyConfig& config) {
                           : "policy_switches_to_conventional")
           ->Add(1);
     }
+    st = InstallFrozenLocked(lock);
   }
   CollectDeferredDeletes();
-  return Status::OK();
+  return st;
 }
 
 Metrics TsEngine::GetMetrics() {

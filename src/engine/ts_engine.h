@@ -63,15 +63,26 @@ struct EngineHealth {
 ///   when full; `C_nonseq` buffers out-of-order points and triggers a real
 ///   merge when full.
 ///
-/// Level 1 is always a single sorted run of non-overlapping SSTables. With
-/// `Options::background_mode` a full MemTable is frozen into a pending
-/// flush batch and background jobs — submitted to a `JobScheduler`, shared
-/// across engines or a private single-worker fallback — write it to an
-/// overlapping level-0 file and fold level 0 into the run (the IoTDB
-/// variant of paper §V-C), so ingest blocks on neither flush I/O nor
-/// compaction. Per-engine scheduler tokens serialize this engine's jobs
-/// (one background job at a time, flush before compaction) while engines
-/// sharing a scheduler run in parallel (DESIGN.md §8).
+/// Level 1 is always a single sorted run of non-overlapping SSTables. Both
+/// policies share one write pipeline: a full MemTable is frozen (O(1),
+/// copy-on-write) into a pending list tagged with its source, then an
+/// install step and a compaction step (`CompactLevel`) move it into the
+/// tree. Two executors run that pipeline:
+///
+/// - **synchronous** (default): the appending thread runs it inline —
+///   C_seq batches flush above the run, C0/C_nonseq batches merge into it,
+///   then the cascade pushes over-full levels down — so WA experiments are
+///   deterministic. Concurrent appenders take turns; the pipeline installs
+///   batches in freeze order and releases the engine mutex during table
+///   I/O.
+/// - **background** (`Options::background_mode`): jobs on a
+///   `JobScheduler`, shared across engines or a private single-worker
+///   fallback, write each batch to an overlapping level-0 file and fold
+///   level 0 into the run (the IoTDB variant of paper §V-C), so ingest
+///   blocks on neither flush I/O nor compaction. Per-engine scheduler
+///   tokens serialize this engine's jobs (one at a time, flush before
+///   compaction) while engines sharing a scheduler run in parallel
+///   (DESIGN.md §8).
 ///
 /// Thread safety: all public methods are safe to call concurrently; the
 /// write path is serialized internally. Reads are snapshot-isolated:
@@ -94,8 +105,8 @@ class TsEngine {
   TsEngine(const TsEngine&) = delete;
   TsEngine& operator=(const TsEngine&) = delete;
 
-  /// Ingests one point (upsert by generation time).
-  Status Append(const DataPoint& point);
+  /// Ingests one point (upsert by generation time): AppendBatch(&point, 1).
+  Status Append(const DataPoint& point) { return AppendBatch(&point, 1); }
 
   /// Ingests `count` points as ONE batch: one mutex acquisition, one
   /// backpressure check, one WAL record (one group-commit enqueue + wait
@@ -192,18 +203,14 @@ class TsEngine {
   Status Recover();
 
   // --- Write path (mutex_ held; `lock` owns mutex_ where passed) ---
-  /// With group commit, `ticket` (when non-null) receives the committer
-  /// ticket for this point's WAL record; the caller must Wait on it AFTER
-  /// releasing `mutex_` — waiting under the lock would cap every commit
-  /// round at one point. Null `ticket` (recovery replay, internal callers)
-  /// uses the direct WAL path.
-  Status AppendLocked(const DataPoint& point,
-                      std::unique_lock<std::mutex>& lock,
-                      storage::GroupCommitter::Ticket* ticket = nullptr);
   /// Batch core: one WAL record / one EnqueueBatch ticket for all `count`
   /// points, then the per-point MemTable inserts (each point classified
   /// seq/nonseq individually — a mid-batch flush can move the persisted
-  /// horizon). Checkpoint and timeline checks run once per batch.
+  /// horizon). Checkpoint and timeline checks run once per batch. With
+  /// group commit, `ticket` (when non-null) receives the committer ticket;
+  /// the caller must Wait on it AFTER releasing `mutex_` — waiting under the
+  /// lock would cap every commit round at one batch. Null `ticket`
+  /// (recovery replay) uses the direct WAL path.
   Status AppendBatchLocked(const DataPoint* points, size_t count,
                            std::unique_lock<std::mutex>& lock,
                            storage::GroupCommitter::Ticket* ticket);
@@ -212,75 +219,65 @@ class TsEngine {
   /// stall once and attributing `points` to its span.
   void WaitForWriteRoomLocked(std::unique_lock<std::mutex>& lock,
                               uint64_t points, bool instrument);
-  Status HandleFullConventional(std::unique_lock<std::mutex>& lock);
-  Status HandleFullSeq(std::unique_lock<std::mutex>& lock);
-  Status HandleFullNonseq(std::unique_lock<std::mutex>& lock);
+
+  // --- The write pipeline (DESIGN.md §8) ---
+  /// Which MemTable a frozen batch came from. The synchronous executor
+  /// installs a C_seq batch as a flush above the run and a C0/C_nonseq
+  /// batch as a merge into it (paper §III); background mode writes every
+  /// batch to level 0.
+  enum class BatchSource : uint8_t { kC0, kSeq, kNonseq };
+  struct PendingBatch {
+    storage::MemTable::View points;
+    BatchSource source;
+  };
+
+  /// Freezes `mem` into `pending_flushes_` in O(1) (no-op when empty): the
+  /// MemTable gets a fresh map and the frozen view stays in every read
+  /// snapshot until it is installed. Schedules a flush job in background
+  /// mode.
+  void FreezeLocked(storage::MemTable* mem, BatchSource source);
+  /// Freezes every MemTable of the current policy, C_nonseq before C_seq.
+  void FreezeMemTablesLocked();
+  /// Returns once every batch frozen before the call is installed. The
+  /// synchronous executor runs the pipeline inline — install the front
+  /// batch, then the compaction cascade, with `lock` released during table
+  /// I/O — in whichever appending thread finds it idle, so batches install
+  /// one at a time in freeze order (two batches can carry the same key;
+  /// the newer must land last). In background mode it waits for the flush
+  /// jobs.
+  Status InstallFrozenLocked(std::unique_lock<std::mutex>& lock);
+  /// Freezes every MemTable, then installs (or awaits) everything frozen:
+  /// on return every point accepted before the call is in the tree.
   Status DrainMemTablesLocked(std::unique_lock<std::mutex>& lock);
-
-  /// Writes `points` (sorted) as run files strictly above the current run.
-  /// Falls back to a merge if an overlap exists. Serialized through the run
-  /// turnstile (below); `lock` may be released while waiting for a turn.
-  Status FlushAboveRunLocked(std::vector<DataPoint> points,
-                             std::unique_lock<std::mutex>& lock);
-
-  /// Merges `points` (sorted) with the overlapping slice of the run,
-  /// streaming block-in/block-out with `lock` released during table I/O.
-  /// Serialized through the run turnstile.
-  Status MergeLocked(std::vector<DataPoint> points,
-                     std::unique_lock<std::mutex>& lock);
-
-  /// Synchronous-mode run mutations (merges and above-run flushes) release
-  /// `mutex_` during table I/O, so they serialize among themselves through
-  /// a FIFO ticket turnstile: Enter registers `points` as a snapshot-visible
-  /// frozen batch (queries must never lose sight of drained-but-unmerged
-  /// data), takes a ticket, and waits for its turn; Leave unregisters the
-  /// batch and admits the next ticket. FIFO matters for correctness, not
-  /// just fairness: two queued batches can carry the same key, and the
-  /// later (newer) one must reach the run last. Returns the registered view
-  /// (identity for Leave).
-  storage::MemTable::View EnterRunTurnstileLocked(
-      const std::vector<DataPoint>& points,
-      std::unique_lock<std::mutex>& lock);
-  void LeaveRunTurnstileLocked(const storage::MemTable::View& batch);
-
-  /// The streaming merge body, run with the turnstile held: computes the
-  /// overlapping run slice, releases `lock` while a MergingIterator over
-  /// {points, run slice} drives the table writer, reacquires it, and
-  /// installs the result. Accounting (points_rewritten, merge events) is
-  /// computed from file metadata exactly as the materialized merge did.
-  Status MergeTurnstileHeld(std::vector<DataPoint> points,
-                            std::unique_lock<std::mutex>& lock);
-
-  /// Streams {newest, old_files} into new run tables via a MergingIterator.
-  /// Pure table I/O — must be called WITHOUT `mutex_` held. The run files
-  /// are chained (they are disjoint), so this is a 2-way merge regardless
-  /// of k. Reads use fill_cache=false and accumulate into *stats. When
-  /// `disk_points_subsequent` is non-null, disk points with generation time
-  /// greater than `subsequent_threshold` are counted as they stream by
-  /// (paper Definition 4, for merge events).
-  Status StreamMergeToTables(std::unique_ptr<storage::PointIterator> newest,
-                             const std::vector<storage::FilePtr>& old_files,
-                             uint64_t* next_file_no,
-                             std::vector<storage::FileMetadata>* new_files,
-                             storage::ReadStats* stats,
-                             int64_t subsequent_threshold,
-                             uint64_t* disk_points_subsequent);
-
-  /// Background-mode synchronous flush of `points` to one level-0 file.
-  Status FlushToLevel0Locked(std::vector<DataPoint> points);
-
-  /// Writes everything `input` yields (sorted) as one SSTable under
-  /// reserved `file_no`; on failure the partial file is removed. Pure env
-  /// I/O — called with or without `mutex_` held.
-  Result<storage::FileMetadata> WriteTableFile(storage::PointIterator* input,
-                                               uint64_t file_no);
-  Result<storage::FileMetadata> WriteTableFile(
-      const std::vector<DataPoint>& points, uint64_t file_no);
-
-  /// Freezes `mem` into a pending flush batch and schedules a flush job.
-  /// Readers see the batch through snapshots until the job installs the
-  /// level-0 file.
-  Status EnqueueFlushLocked(storage::MemTable* mem);
+  /// The install step for the front pending batch: one level-0 file in
+  /// background mode; otherwise a flush above the run (C_seq, or any batch
+  /// when level 1 is stacked) or a merge into level 1. The batch leaves the
+  /// pending list only once installed, so readers never lose sight of it;
+  /// on failure it stays at the front for a retry.
+  Status InstallFrontBatchLocked(std::unique_lock<std::mutex>& lock);
+  /// Writes `batch` as tables — one file for level 0, `sstable_points`-cut
+  /// files for a deeper level — appends them to `level`, and accounts the
+  /// flush. `lock` is released during the table writes.
+  Status FlushBatchLocked(const storage::MemTable::View& batch, size_t level,
+                          std::unique_lock<std::mutex>& lock);
+  /// Merges a newest-first input — a frozen MemTable `batch` or a `file`
+  /// from the level above (exactly one is non-null) — into the overlapping
+  /// slice of sorted level `target`, streaming block-in/block-out with
+  /// `lock` released, then installs the output, retires the slice, and
+  /// accounts the merge (WA counters from file metadata, Definition 4
+  /// subsequent points for MemTable merges, the MergeEvent). A file input
+  /// honors Options::max_compaction_input_files: only its head is merged
+  /// and the rest comes back as `residual` tables for the caller to put in
+  /// the file's place.
+  Status MergeIntoLevelLocked(size_t target,
+                              const storage::MemTable::View& batch,
+                              const storage::FilePtr& file,
+                              telemetry::ScopedSpan* span,
+                              std::unique_lock<std::mutex>& lock,
+                              std::vector<storage::FileMetadata>* residual);
+  /// The synchronous executor's compaction step (and recovery's): while
+  /// any level 0..N-2 is at its trigger, CompactLevel it.
+  Status CompactInlineLocked(std::unique_lock<std::mutex>& lock);
 
   /// Submit a flush/compaction job to the scheduler unless one is already
   /// outstanding for this engine (jobs re-submit themselves while work
@@ -296,9 +293,8 @@ class TsEngine {
   void FlushJob(uint64_t queue_wait_micros);
   void CompactionJob(size_t level, uint64_t queue_wait_micros);
 
-  /// File-count trigger for `level` (level0_compaction_trigger for level 0,
-  /// the geometric level_base_files * ratio^(n-1) rule — or the explicit
-  /// level_file_triggers override — above it).
+  /// File-count trigger for `level`: 1 for level 0 (every flush folds),
+  /// the geometric level_base_files * ratio^(n-1) rule above it.
   size_t LevelTriggerLocked(size_t level) const;
   /// Whether `level` is at/over its trigger. The deepest level never is.
   bool LevelNeedsCompactionLocked(size_t level) const;
@@ -313,19 +309,12 @@ class TsEngine {
   /// this is byte-for-byte the paper's fold-level-0-into-the-run job.
   /// `lock` (held on entry and exit) is released during table I/O: the
   /// compactor is the only mutator of levels >= 1 while it runs (the job
-  /// token in background mode, the run turnstile or recovery in sync
+  /// token in background mode, the inline executor or recovery in sync
   /// mode), level-0 files are only appended behind the front, and readers
   /// keep the input files visible through their snapshots until the output
-  /// is installed atomically. Honors Options::max_compaction_input_files
-  /// by merging only a prefix of the overlap and re-writing the source
-  /// residual back in place.
+  /// is installed atomically. A capped merge (max_compaction_input_files)
+  /// re-writes the file's unmerged tail back in its place.
   Status CompactLevel(size_t level, std::unique_lock<std::mutex>& lock);
-
-  /// Sync-mode cascade, run with the run turnstile held (or from the
-  /// single-threaded recovery path): while any level 1..N-2 is over its
-  /// trigger, push files down one CompactLevel at a time. No-op in
-  /// background mode (per-level jobs cover it) and under num_levels == 2.
-  Status CascadeCompactionsTurnstileHeld(std::unique_lock<std::mutex>& lock);
 
   void MaybeRecordTimelineLocked(uint64_t appended = 1);
 
@@ -339,7 +328,6 @@ class TsEngine {
   /// histogram sample, attributed to this engine's series.
   void RecordQueueWait(uint64_t queue_wait_micros);
 
-  size_t Level0FileCountLockedForRecovery();
   std::string WalPath() const;
   /// Crash-safe WAL retirement: quiesces the committer, closes the old
   /// writer (checked), writes `relog_points` (may be null/empty) into
@@ -352,10 +340,10 @@ class TsEngine {
   Status MaybeCheckpointWalLocked(std::unique_lock<std::mutex>& lock);
   /// Drains until nothing buffered remains at an instant where `lock` is
   /// continuously held through the caller's rotation. A plain drain is not
-  /// enough before retiring the log: sync-mode merges and background
-  /// flushes release `mutex_` during table I/O, so concurrent appends can
-  /// slip in — and their WAL records live in the log about to be retired,
-  /// so their points must be on disk first.
+  /// enough before retiring the log: the pipeline releases `mutex_` during
+  /// table I/O, so concurrent appends can slip in — and their WAL records
+  /// live in the log about to be retired, so their points must be on disk
+  /// first.
   Status DrainForWalRetireLocked(std::unique_lock<std::mutex>& lock);
   /// fsyncs the live WAL (via the committer's Barrier when group commit is
   /// on) and advances the durable high-water metrics.
@@ -475,7 +463,7 @@ class TsEngine {
   uint64_t timeline_batch_accum_ = 0;
   std::unique_ptr<storage::WalWriter> wal_;
   /// Set during the recovery re-insert loop: replayed points are already in
-  /// the freshly rotated log, so AppendLocked must not re-log them, and
+  /// the freshly rotated log, so AppendBatchLocked must not re-log them, and
   /// MaybeCheckpointWalLocked must not retire the log out from under the
   /// not-yet-reinserted tail.
   bool wal_replaying_ = false;
@@ -486,20 +474,15 @@ class TsEngine {
   uint64_t block_cache_owner_id_ = 0;
   storage::DeferredFileDeleter deleter_;
 
-  /// MemTable batches frozen by a full-MemTable Append, oldest first,
-  /// waiting for a flush job to write them to level 0. A batch stays here
-  /// (and thus in every read snapshot) until its file is installed, so
-  /// readers never lose sight of accepted data.
-  std::vector<storage::MemTable::View> pending_flushes_;
-
-  /// Synchronous-mode run turnstile (see EnterRunTurnstileLocked): batches
-  /// drained for an in-flight or queued run mutation, oldest first, visible
-  /// to read snapshots below `pending_flushes_`; tickets serialize the
-  /// mutations FIFO while `mutex_` is released for merge I/O.
-  std::vector<storage::MemTable::View> sync_merge_batches_;
-  uint64_t sync_turnstile_next_ = 0;     ///< next ticket to hand out
-  uint64_t sync_turnstile_serving_ = 0;  ///< ticket allowed to mutate the run
-  bool flush_inflight_ = false;        ///< flush job writing, mutex_ dropped
+  /// Frozen MemTable batches, oldest first, waiting for the install step.
+  /// A batch stays here (and thus in every read snapshot) until its data is
+  /// in the tree, so readers never lose sight of accepted data.
+  std::vector<PendingBatch> pending_flushes_;
+  uint64_t batches_frozen_ = 0;     ///< batches ever frozen
+  uint64_t batches_installed_ = 0;  ///< of those, installed (FIFO prefix)
+  /// Synchronous mode: an appending thread is running the inline pipeline
+  /// (with mutex_ released during its table I/O); others wait their turn.
+  bool pipeline_busy_ = false;
   bool flush_job_scheduled_ = false;   ///< a flush job is queued or running
   /// Per-level "a compaction job is queued/running" flags (index = source
   /// level); at most one outstanding job per level per engine.

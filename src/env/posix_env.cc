@@ -2,7 +2,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -91,24 +90,29 @@ class PosixWritableFile final : public WritableFile {
   std::string buffer_;
 };
 
+/// fd-based random-access file. Read is a pread loop, so it keeps no file
+/// position: the table cache hands one reader to queries and background
+/// compaction at once, and concurrent reads of distinct offsets must not
+/// interfere (a shared FILE* with fseek+fread did).
 class PosixRandomAccessFile final : public RandomAccessFile {
  public:
-  PosixRandomAccessFile(std::string fname, std::FILE* f, uint64_t size)
-      : fname_(std::move(fname)), file_(f), size_(size) {}
+  PosixRandomAccessFile(std::string fname, int fd, uint64_t size)
+      : fname_(std::move(fname)), fd_(fd), size_(size) {}
 
-  ~PosixRandomAccessFile() override {
-    if (file_ != nullptr) std::fclose(file_);
-  }
+  ~PosixRandomAccessFile() override { ::close(fd_); }
 
   Status Read(uint64_t offset, size_t n, std::string* out) const override {
     out->resize(n);
-    if (n == 0) return Status::OK();
-    if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-      return ErrnoStatus(fname_ + " seek");
-    }
-    size_t got = std::fread(out->data(), 1, n, file_);
-    if (got < n && std::ferror(file_)) {
-      return ErrnoStatus(fname_ + " read");
+    size_t got = 0;
+    while (got < n) {
+      ssize_t r = ::pread(fd_, out->data() + got, n - got,
+                          static_cast<off_t>(offset + got));
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        return ErrnoStatus(fname_ + " read");
+      }
+      if (r == 0) break;  // end of file: the read comes back short
+      got += static_cast<size_t>(r);
     }
     out->resize(got);
     return Status::OK();
@@ -118,7 +122,7 @@ class PosixRandomAccessFile final : public RandomAccessFile {
 
  private:
   std::string fname_;
-  std::FILE* file_;
+  int fd_;
   uint64_t size_;
 };
 
@@ -137,15 +141,15 @@ class PosixEnv final : public Env {
   Status NewRandomAccessFile(
       const std::string& fname,
       std::unique_ptr<RandomAccessFile>* file) override {
-    std::FILE* f = std::fopen(fname.c_str(), "rb");
-    if (f == nullptr) return ErrnoStatus(fname + " open for read");
+    int fd = ::open(fname.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return ErrnoStatus(fname + " open for read");
     std::error_code ec;
     uint64_t size = fs::file_size(fname, ec);
     if (ec) {
-      std::fclose(f);
+      ::close(fd);
       return Status::IOError(fname + " size: " + ec.message());
     }
-    *file = std::make_unique<PosixRandomAccessFile>(fname, f, size);
+    *file = std::make_unique<PosixRandomAccessFile>(fname, fd, size);
     return Status::OK();
   }
 

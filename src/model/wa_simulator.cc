@@ -52,8 +52,8 @@ void WaSimulator::AppendKeysAsFiles(const std::vector<int64_t>& keys) {
 
 void WaSimulator::FlushSeq() {
   if (cseq_.empty()) return;
-  // Mirrors TsEngine::FlushAboveRunLocked: C_seq is strictly above the run,
-  // so the flush appends without rewriting (the defensive merge fallback of
+  // Mirrors the engine's C_seq install (TsEngine::InstallFrontBatchLocked):
+  // C_seq is strictly above the run, so the flush appends without rewriting (the defensive merge fallback of
   // the engine cannot trigger here: the run max only grows via FlushSeq).
   std::vector<int64_t> keys(cseq_.begin(), cseq_.end());
   assert(run_.empty() || keys.front() > RunMax());

@@ -44,16 +44,7 @@ void GroupCommitter::Deregister(Handle* handle) {
 
 GroupCommitter::Ticket GroupCommitter::Enqueue(Handle* handle,
                                                const DataPoint& point) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  space_cv_.wait(lock, [&] {
-    return stop_ || queue_.size() < options_.max_queue_points;
-  });
-  if (stop_) return nullptr;
-  Ticket ticket = std::make_shared<CommitWait>();
-  queue_.push_back(Entry{handle, point, ticket});
-  ++handle->pending_;
-  worker_cv_.notify_one();
-  return ticket;
+  return EnqueueBatch(handle, &point, 1);
 }
 
 GroupCommitter::Ticket GroupCommitter::EnqueueBatch(Handle* handle,

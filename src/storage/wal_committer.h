@@ -100,8 +100,7 @@ class GroupCommitter {
   void Deregister(Handle* handle);
 
   /// Queues one point for the handle's WAL and returns the ticket to wait
-  /// on. Blocks (briefly) while the queue is at max_queue_points. Returns a
-  /// null ticket only when the committer is shutting down.
+  /// on: EnqueueBatch(handle, &point, 1).
   Ticket Enqueue(Handle* handle, const DataPoint& point);
 
   /// Queues `count` points under ONE lock hold with ONE shared ticket — the

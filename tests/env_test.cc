@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "env/env.h"
 #include "env/fault_env.h"
@@ -82,6 +85,39 @@ TEST_P(EnvContractTest, ReadPastEofShortens) {
   EXPECT_EQ(out, "c");
   ASSERT_TRUE(f->Read(50, 10, &out).ok());
   EXPECT_TRUE(out.empty());
+}
+
+TEST_P(EnvContractTest, ConcurrentReadsOfDistinctOffsets) {
+  // One reader shared by several threads, as the table cache shares one
+  // between queries and background compaction: each thread reads its own
+  // offsets and must get exactly those bytes back.
+  std::string data(64 * 1024, '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>((i * 131 + i / 251) & 0xff);
+  }
+  std::string path = WriteFile(env_, dir_ + "/shared.bin", data);
+  std::unique_ptr<RandomAccessFile> f;
+  ASSERT_TRUE(env_->NewRandomAccessFile(path, &f).ok());
+  constexpr int kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::string out;
+      for (size_t i = 0; i < 200; ++i) {
+        // Thread t reads the t-th quarter of the file, in strides that
+        // never line up with the other threads' reads.
+        const size_t offset = t * (data.size() / kThreads) + (i * 97) % 8192;
+        const size_t n = 1 + (i * 37 + t) % 4096;
+        if (!f->Read(offset, n, &out).ok() ||
+            out != data.substr(offset, n)) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST_P(EnvContractTest, FileExistsAndSize) {
