@@ -13,6 +13,14 @@
 #include "model/wa_simulator.h"
 #include "workload/datasets.h"
 
+namespace seplsm::workload {
+// Names the parameter in test listings instead of dumping its bytes, which
+// hold the `name` string's pointer and so would change from run to run.
+void PrintTo(const TableIIConfig& config, std::ostream* os) {
+  *os << config.name;
+}
+}  // namespace seplsm::workload
+
 namespace seplsm::model {
 namespace {
 

@@ -30,6 +30,10 @@ std::vector<SimCase> Cases() {
   };
 }
 
+// Names the parameter in test listings instead of dumping its bytes, which
+// hold heap pointers and so would change from run to run.
+void PrintTo(const SimCase& c, std::ostream* os) { *os << c.label; }
+
 class WaSimulatorTest : public ::testing::TestWithParam<SimCase> {};
 
 TEST_P(WaSimulatorTest, MatchesEngineExactly) {
