@@ -64,6 +64,12 @@ struct TimeBucket {
   Aggregates aggregates;
 };
 
+/// Folds one point (at or after every point folded so far) into the
+/// width-`width` bucket grid aligned to `lo`, opening its bucket at the back
+/// of *buckets when the point starts a new one. `width` must be positive.
+void AccumulateIntoBuckets(const DataPoint& p, int64_t lo, int64_t width,
+                           std::vector<TimeBucket>* buckets);
+
 /// Folds sorted points into fixed-width buckets aligned to `lo`.
 /// Buckets with no points are omitted. `width` must be positive.
 std::vector<TimeBucket> BucketizePoints(const std::vector<DataPoint>& sorted,

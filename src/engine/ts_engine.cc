@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <map>
 #include <sstream>
 
 #include "common/logging.h"
@@ -802,32 +801,27 @@ Status TsEngine::MergeIntoLevelLocked(
     ropts.fill_cache = false;
     ropts.stats = &rstats;
     using Iters = std::vector<std::unique_ptr<storage::PointIterator>>;
-    auto scan = [&](const storage::FileMetadata& f, Iters* out) -> Status {
-      auto reader = OpenTableReader(f);
-      if (!reader.ok()) return reader.status();
-      out->push_back(std::make_unique<storage::SSTableIterator>(
-          std::shared_ptr<const storage::SSTableReader>(
-              std::move(reader).value()),
-          ropts));
+    // Opens `f`'s points in [from, to] as one more input.
+    auto scan = [&](const storage::FileMetadata& f, Iters* out,
+                    int64_t from = std::numeric_limits<int64_t>::min(),
+                    int64_t to = std::numeric_limits<int64_t>::max()) {
+      storage::ReadOptions range = ropts;
+      range.lo = from;
+      range.hi = to;
+      auto it = NewTableIterator(f, range);
+      if (!it.ok()) return it.status();
+      out->push_back(std::move(it).value());
       return Status::OK();
     };
     // The newest input is the first merge child, so its version wins on
-    // duplicate generation times.
+    // duplicate generation times. A capped job merges only the file's head.
     Iters children;
-    std::vector<DataPoint> tail;
     if (buffered) {
       children.push_back(
           std::make_unique<storage::MemTableViewIterator>(batch));
-    } else if (capped) {
-      std::vector<DataPoint> head;
-      SEPLSM_RETURN_IF_ERROR(
-          ReadTableRange(*file, lo, split_max, &head, &rstats));
-      SEPLSM_RETURN_IF_ERROR(
-          ReadTableRange(*file, split_max + 1, hi, &tail, &rstats));
-      children.push_back(
-          std::make_unique<storage::VectorIterator>(std::move(head)));
     } else {
-      SEPLSM_RETURN_IF_ERROR(scan(*file, &children));
+      SEPLSM_RETURN_IF_ERROR(
+          scan(*file, &children, lo, capped ? split_max : hi));
     }
     Iters slice_iters;
     for (const auto& f : slice) SEPLSM_RETURN_IF_ERROR(scan(*f, &slice_iters));
@@ -850,9 +844,11 @@ Status TsEngine::MergeIntoLevelLocked(
         options_.env, options_.dir, &merged, options_.sstable_points,
         options_.points_per_block, &file_no, &new_files,
         options_.value_encoding, MetaConfig(), &cancel_bg_));
-    if (tail.empty()) return Status::OK();
+    if (!capped) return Status::OK();
+    Iters tail;  // the residual, rewritten as-is
+    SEPLSM_RETURN_IF_ERROR(scan(*file, &tail, split_max + 1, hi));
     return storage::WriteSortedPointsAsTables(
-        options_.env, options_.dir, tail, options_.sstable_points,
+        options_.env, options_.dir, tail[0].get(), options_.sstable_points,
         options_.points_per_block, &file_no, &tail_files,
         options_.value_encoding, MetaConfig());
   }();
@@ -1210,13 +1206,13 @@ Result<std::shared_ptr<storage::SSTableReader>> TsEngine::OpenTableReader(
   return std::shared_ptr<storage::SSTableReader>(std::move(reader).value());
 }
 
-Status TsEngine::ReadTableRange(const storage::FileMetadata& file, int64_t lo,
-                                int64_t hi, std::vector<DataPoint>* out,
-                                storage::ReadStats* stats,
-                                storage::QueryExplain* explain) {
+Result<std::unique_ptr<storage::PointIterator>> TsEngine::NewTableIterator(
+    const storage::FileMetadata& file, const storage::ReadOptions& options) {
   auto reader = OpenTableReader(file);
   if (!reader.ok()) return reader.status();
-  return (*reader)->ReadRange(lo, hi, out, stats, explain);
+  return std::unique_ptr<storage::PointIterator>(
+      std::make_unique<storage::SSTableIterator>(std::move(reader).value(),
+                                                 options));
 }
 
 Status TsEngine::DrainMemTablesLocked(std::unique_lock<std::mutex>& lock) {
@@ -1293,152 +1289,141 @@ Status TsEngine::WaitForBackgroundIdle() {
   return Status::OK();
 }
 
-TsEngine::ReadSnapshot TsEngine::AcquireSnapshotLocked() {
-  ReadSnapshot snap;
-  snap.files = version_.Snapshot();
-  // Frozen batches not installed yet: oldest first, below the live
-  // MemTables, mirroring the order the data was accepted in.
-  for (const auto& batch : pending_flushes_) {
-    snap.mems.push_back(batch.points);
-  }
-  if (options_.policy.kind == PolicyKind::kConventional) {
-    snap.mems.push_back(c0_->SnapshotView());
-  } else {
-    // Same precedence the locked path used: C_seq first, C_nonseq second
-    // (later views win on equal keys).
-    snap.mems.push_back(cseq_->SnapshotView());
-    snap.mems.push_back(cnonseq_->SnapshotView());
-  }
-  ++metrics_.snapshots_acquired;
-  return snap;
-}
-
-Status TsEngine::QuerySnapshot(const ReadSnapshot& snap, int64_t lo,
-                               int64_t hi, std::vector<DataPoint>* out,
-                               QueryStats* local) {
-  // Lowest precedence first: the deepest level up to level 1, then level 0
-  // in flush order, then the MemTables; later insertions overwrite earlier
-  // ones per key. The newest version of any key always lives in the
-  // shallowest level holding it, so depth order is recency order.
-  std::map<int64_t, DataPoint> result;
-  storage::ReadStats reads;
+Status TsEngine::QuerySnapshot(
+    const ReadSnapshot& snap, int64_t lo, int64_t hi, QueryStats* local,
+    const std::function<void(const DataPoint&)>& visit) {
+  // One streaming merge, children newest first: the MemTable views (the
+  // snapshot lists them oldest first), then level 0 newest first, then
+  // each deeper level — a sorted level as one chain over its overlapping
+  // slice, a stacked level newest first. The newest version of any key
+  // lives in the shallowest level holding it, so this is recency order,
+  // and the merge's lowest-child-wins rule keeps exactly that version.
   storage::QueryExplain* explain = local->explain;
-  for (size_t n = snap.files.num_levels(); n-- > 0;) {
+  storage::ReadStats reads;
+  storage::ReadOptions ropts;
+  ropts.lo = lo;
+  ropts.hi = hi;
+  ropts.stats = &reads;
+  ropts.explain = explain;
+  using IterPtr = std::unique_ptr<storage::PointIterator>;
+  auto open = [&](const storage::FilePtr& f, int32_t level) -> Result<IterPtr> {
+    ++local->files_opened;
+    if (explain != nullptr) {
+      explain->RecordFileOpened(f->file_number, level, f->min_generation_time,
+                                f->max_generation_time);
+    }
+    storage::ReadOptions file_opts = ropts;
+    file_opts.explain_file = f->file_number;
+    file_opts.explain_level = level;
+    return NewTableIterator(*f, file_opts);
+  };
+  std::vector<IterPtr> children;
+  std::vector<const storage::MemTableViewIterator*> mems;
+  for (auto view = snap.mems.rbegin(); view != snap.mems.rend(); ++view) {
+    auto it = std::make_unique<storage::MemTableViewIterator>(*view, lo, hi);
+    mems.push_back(it.get());
+    children.push_back(std::move(it));
+  }
+  for (size_t n = 0; n < snap.files.num_levels(); ++n) {
     const std::vector<storage::FilePtr>& files = snap.files.level(n);
-    if (n > 0 && snap.files.layout(n) == storage::LevelLayout::kSorted) {
+    const int32_t level = static_cast<int32_t>(n);
+    std::vector<size_t> overlap;
+    const bool sorted =
+        n > 0 && snap.files.layout(n) == storage::LevelLayout::kSorted;
+    if (sorted) {
       size_t begin, end;
       snap.files.OverlappingLevelRange(n, lo, hi, &begin, &end);
-      local->pruning.files_skipped += files.size() - (end - begin);
-      if (explain != nullptr && files.size() > end - begin) {
-        explain->RecordFilesSkipped(static_cast<int32_t>(n),
-                                    files.size() - (end - begin), lo, hi);
-      }
-      for (size_t i = begin; i < end; ++i) {
-        ++local->files_opened;
-        if (explain != nullptr) {
-          explain->RecordFileOpened(files[i]->file_number,
-                                    static_cast<int32_t>(n),
-                                    files[i]->min_generation_time,
-                                    files[i]->max_generation_time);
-        }
-        std::vector<DataPoint> points;
-        SEPLSM_RETURN_IF_ERROR(
-            ReadTableRange(*files[i], lo, hi, &points, &reads, explain));
-        for (const auto& p : points) {
-          result.insert_or_assign(p.generation_time, p);
-        }
-      }
+      for (size_t i = begin; i < end; ++i) overlap.push_back(i);
     } else {
-      // Stacked level: arrival order, oldest first — matching the
-      // insert-wins precedence of the map fold.
-      std::vector<size_t> overlap = storage::OverlappingLevel0(files, lo, hi);
-      local->pruning.files_skipped += files.size() - overlap.size();
-      if (explain != nullptr && files.size() > overlap.size()) {
-        explain->RecordFilesSkipped(static_cast<int32_t>(n),
-                                    files.size() - overlap.size(), lo, hi);
+      overlap = storage::OverlappingLevel0(files, lo, hi);
+    }
+    local->pruning.files_skipped += files.size() - overlap.size();
+    if (explain != nullptr) {
+      explain->RecordFilesSkipped(level, files.size() - overlap.size(), lo,
+                                  hi);
+    }
+    if (sorted && !overlap.empty()) {
+      // A disjoint, ordered slice: one chained child, each file opened only
+      // when the chain reaches it.
+      std::vector<storage::ConcatenatingIterator::ChildFactory> slice;
+      for (size_t i : overlap) {
+        slice.push_back(
+            [&open, f = files[i], level] { return open(f, level); });
       }
-      for (size_t idx : overlap) {
-        ++local->files_opened;
-        if (explain != nullptr) {
-          explain->RecordFileOpened(files[idx]->file_number,
-                                    static_cast<int32_t>(n),
-                                    files[idx]->min_generation_time,
-                                    files[idx]->max_generation_time);
-        }
-        std::vector<DataPoint> points;
-        SEPLSM_RETURN_IF_ERROR(
-            ReadTableRange(*files[idx], lo, hi, &points, &reads, explain));
-        for (const auto& p : points) {
-          result.insert_or_assign(p.generation_time, p);
-        }
+      children.push_back(
+          std::make_unique<storage::ConcatenatingIterator>(std::move(slice)));
+    } else if (!sorted) {
+      // Stacked: arrival order is oldest first, so walk it backwards.
+      for (auto i = overlap.rbegin(); i != overlap.rend(); ++i) {
+        auto it = open(files[*i], level);
+        if (!it.ok()) return it.status();
+        children.push_back(std::move(it).value());
       }
     }
   }
+  storage::MergingIterator merged(std::move(children));
+  for (; merged.Valid(); merged.Next()) visit(merged.point());
+  SEPLSM_RETURN_IF_ERROR(merged.status());
   local->disk_points_scanned += reads.points_scanned;
   local->device_bytes_read += reads.device_bytes_read;
   local->block_cache_hits += reads.cache_hits;
   local->block_cache_misses += reads.cache_misses;
   local->blocks_read += reads.blocks_read + reads.cache_hits;
   local->pruning.blocks_skipped += reads.blocks_skipped;
-  std::vector<DataPoint> mem_points;
-  for (const auto& view : snap.mems) {
-    storage::MemTable::CollectRange(*view, lo, hi, &mem_points);
-  }
-  local->memtable_points += mem_points.size();
-  if (explain != nullptr && !mem_points.empty()) {
-    explain->RecordMemtableScan(mem_points.size());
-  }
-  for (const auto& p : mem_points) {
-    result.insert_or_assign(p.generation_time, p);
-  }
-
-  out->reserve(out->size() + result.size());
-  for (auto& [t, p] : result) {
-    (void)t;
-    out->push_back(p);
+  uint64_t mem_points = 0;
+  for (const auto* it : mems) mem_points += it->consumed();
+  local->memtable_points += mem_points;
+  if (explain != nullptr && mem_points > 0) {
+    explain->RecordMemtableScan(mem_points);
   }
   return Status::OK();
 }
 
-void TsEngine::AccumulateQueryMetrics(const QueryStats& local) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++metrics_.queries;
-  metrics_.points_returned += local.points_returned;
-  metrics_.disk_points_scanned += local.disk_points_scanned;
-  metrics_.query_files_opened += local.files_opened;
-  metrics_.query_device_bytes_read += local.device_bytes_read;
-  metrics_.block_cache_hits += local.block_cache_hits;
-  metrics_.block_cache_misses += local.block_cache_misses;
-  metrics_.files_skipped += local.pruning.files_skipped;
-  metrics_.blocks_skipped += local.pruning.blocks_skipped;
-  metrics_.blooms_negative += local.pruning.blooms_negative;
-  metrics_.summary_hits += local.pruning.summary_hits;
-}
-
-Status TsEngine::Query(int64_t lo, int64_t hi, std::vector<DataPoint>* out,
-                       QueryStats* stats) {
-  out->clear();
-  if (lo > hi) return Status::InvalidArgument("Query: lo > hi");
+Status TsEngine::ReadOnSnapshot(
+    QueryStats* stats,
+    const std::function<Status(const ReadSnapshot&, QueryStats*)>& body) {
   telemetry::ScopedSpan span(telemetry_, options_.clock,
                              telemetry::SpanType::kQuery,
                              telemetry_series_id_);
   QueryStats local;
   if (stats != nullptr) local.explain = stats->explain;
-
   // Capture the snapshot in O(files) under the lock; every disk read,
-  // block-cache lookup, and the merge below run without it, so a long
-  // historical query does not stall ingest or compaction. The snapshot's
-  // shared ownership keeps retired SSTables on disk until we are done.
+  // block-cache lookup, and merge run without it, so a long historical
+  // query does not stall ingest or compaction. The snapshot's shared
+  // ownership keeps retired SSTables on disk until we are done.
   ReadSnapshot snap;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    snap = AcquireSnapshotLocked();
+    snap.files = version_.Snapshot();
+    // Frozen batches not installed yet: oldest first, below the live
+    // MemTables, mirroring the order the data was accepted in; C_seq
+    // precedes C_nonseq (later views win on equal keys).
+    for (const auto& batch : pending_flushes_) {
+      snap.mems.push_back(batch.points);
+    }
+    if (options_.policy.kind == PolicyKind::kConventional) {
+      snap.mems.push_back(c0_->SnapshotView());
+    } else {
+      snap.mems.push_back(cseq_->SnapshotView());
+      snap.mems.push_back(cnonseq_->SnapshotView());
+    }
+    ++metrics_.snapshots_acquired;
   }
-
-  SEPLSM_RETURN_IF_ERROR(QuerySnapshot(snap, lo, hi, out, &local));
-  local.points_returned = out->size();
-
-  AccumulateQueryMetrics(local);
+  SEPLSM_RETURN_IF_ERROR(body(snap, &local));
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++metrics_.queries;
+    metrics_.points_returned += local.points_returned;
+    metrics_.disk_points_scanned += local.disk_points_scanned;
+    metrics_.query_files_opened += local.files_opened;
+    metrics_.query_device_bytes_read += local.device_bytes_read;
+    metrics_.block_cache_hits += local.block_cache_hits;
+    metrics_.block_cache_misses += local.block_cache_misses;
+    metrics_.files_skipped += local.pruning.files_skipped;
+    metrics_.blocks_skipped += local.pruning.blocks_skipped;
+    metrics_.blooms_negative += local.pruning.blooms_negative;
+    metrics_.summary_hits += local.pruning.summary_hits;
+  }
   // Drop our file references, then sweep: if this query was the last
   // reader of a compaction-retired table, unlink it now.
   snap = ReadSnapshot();
@@ -1450,6 +1435,21 @@ Status TsEngine::Query(int64_t lo, int64_t hi, std::vector<DataPoint>* out,
   return Status::OK();
 }
 
+Status TsEngine::Query(int64_t lo, int64_t hi, std::vector<DataPoint>* out,
+                       QueryStats* stats) {
+  out->clear();
+  if (lo > hi) return Status::InvalidArgument("Query: lo > hi");
+  Status st = ReadOnSnapshot(stats, [&](const ReadSnapshot& snap,
+                                        QueryStats* local) {
+    SEPLSM_RETURN_IF_ERROR(QuerySnapshot(
+        snap, lo, hi, local, [out](const DataPoint& p) { out->push_back(p); }));
+    local->points_returned = out->size();
+    return Status::OK();
+  });
+  if (!st.ok()) out->clear();  // a failed query returns nothing
+  return st;
+}
+
 Result<bool> TsEngine::WindowServableBySummaries(const ReadSnapshot& snap,
                                                  int64_t ws, int64_t we,
                                                  SummaryReaderCache* readers,
@@ -1457,25 +1457,24 @@ Result<bool> TsEngine::WindowServableBySummaries(const ReadSnapshot& snap,
   // A stacked file (level 0 or a tiering level) or a buffered point inside
   // the window overrides disk data, so the summaries alone could
   // double-count or miss an upsert.
-  storage::QueryExplain* explain = local->explain;
+  auto fall_back = [&](const char* reason) {
+    if (local->explain != nullptr) {
+      local->explain->RecordWindowFallback(ws, we, reason);
+    }
+    return false;
+  };
   for (size_t n = 0; n < snap.files.num_levels(); ++n) {
     if (n > 0 && snap.files.layout(n) == storage::LevelLayout::kSorted) {
       continue;
     }
     if (!storage::OverlappingLevel0(snap.files.level(n), ws, we).empty()) {
-      if (explain != nullptr) {
-        explain->RecordWindowFallback(ws, we, "stacked-file-overlap");
-      }
-      return false;
+      return fall_back("stacked-file-overlap");
     }
   }
   for (const auto& view : snap.mems) {
     auto it = view->lower_bound(ws);
     if (it != view->end() && it->first <= we) {
-      if (explain != nullptr) {
-        explain->RecordWindowFallback(ws, we, "buffered-point");
-      }
-      return false;
+      return fall_back("buffered-point");
     }
   }
   // Two sorted levels overlapping the same window can hold two versions of
@@ -1499,19 +1498,12 @@ Result<bool> TsEngine::WindowServableBySummaries(const ReadSnapshot& snap,
       const storage::SSTableReader* r = it->second.get();
       if (!r->has_metadata() ||
           r->metadata().summary_window != options_.summary_window) {
-        if (explain != nullptr) {
-          explain->RecordWindowFallback(ws, we, "unsummarized-file");
-        }
-        return false;  // v1 file (or other window width): point-read it
+        // v1 file (or other window width): point-read it
+        return fall_back("unsummarized-file");
       }
     }
   }
-  if (levels_overlapping > 1) {
-    if (explain != nullptr) {
-      explain->RecordWindowFallback(ws, we, "multi-level-overlap");
-    }
-    return false;
-  }
+  if (levels_overlapping > 1) return fall_back("multi-level-overlap");
   return true;
 }
 
@@ -1538,16 +1530,12 @@ void TsEngine::MergeWindowSummaries(const ReadSnapshot& snap, int64_t ws,
       // A level's files are time-disjoint and walked in level order, so
       // partial summaries of one window merge in ascending time order.
       for (; it != meta.summaries.end() && it->window_start == ws; ++it) {
-        Aggregates seg;
-        seg.count = it->count;
-        seg.sum = it->sum;
-        seg.min = it->min;
-        seg.max = it->max;
-        seg.first_time = it->first_time;
-        seg.first_value = it->first_value;
-        seg.last_time = it->last_time;
-        seg.last_value = it->last_value;
-        agg->MergeOrdered(seg);
+        agg->MergeOrdered({.count = it->count, .sum = it->sum,
+                           .min = it->min, .max = it->max,
+                           .first_time = it->first_time,
+                           .last_time = it->last_time,
+                           .first_value = it->first_value,
+                           .last_value = it->last_value});
         ++local->pruning.summary_hits;
       }
     }
@@ -1565,10 +1553,8 @@ Status TsEngine::AggregateSnapshot(const ReadSnapshot& snap, int64_t lo,
   // Folds [flo, fhi] into *out by point reads (summaries unusable there).
   auto fallback = [&](int64_t flo, int64_t fhi) -> Status {
     if (flo > fhi) return Status::OK();
-    std::vector<DataPoint> points;
-    SEPLSM_RETURN_IF_ERROR(QuerySnapshot(snap, flo, fhi, &points, local));
-    for (const auto& p : points) out->Accumulate(p);
-    return Status::OK();
+    return QuerySnapshot(snap, flo, fhi, local,
+                         [out](const DataPoint& p) { out->Accumulate(p); });
   };
   const int64_t W = options_.summary_window;
   if (!options_.pruning || W <= 0) return fallback(lo, hi);
@@ -1622,28 +1608,16 @@ Status TsEngine::Aggregate(int64_t lo, int64_t hi, Aggregates* out,
                            QueryStats* stats) {
   *out = Aggregates();
   if (lo > hi) return Status::InvalidArgument("Query: lo > hi");
-  telemetry::ScopedSpan span(telemetry_, options_.clock,
-                             telemetry::SpanType::kQuery,
-                             telemetry_series_id_);
-  QueryStats local;
-  if (stats != nullptr) local.explain = stats->explain;
-  ReadSnapshot snap;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    snap = AcquireSnapshotLocked();
-  }
-  SEPLSM_RETURN_IF_ERROR(AggregateSnapshot(snap, lo, hi, out, &local));
-  // Aggregates cover the same points a Query would have returned; keeping
-  // points_returned equal on both paths keeps RA comparable on vs. off.
-  local.points_returned = out->count;
-  AccumulateQueryMetrics(local);
-  snap = ReadSnapshot();
-  CollectDeferredDeletes();
-  span.set_points(local.points_returned);
-  span.set_bytes(local.device_bytes_read);
-  span.set_files(local.files_opened);
-  if (stats != nullptr) *stats = local;
-  return Status::OK();
+  Status st = ReadOnSnapshot(stats, [&](const ReadSnapshot& snap,
+                                        QueryStats* local) {
+    SEPLSM_RETURN_IF_ERROR(AggregateSnapshot(snap, lo, hi, out, local));
+    // Aggregates cover the same points a Query would have returned; keeping
+    // points_returned equal on both paths keeps RA comparable on vs. off.
+    local->points_returned = out->count;
+    return Status::OK();
+  });
+  if (!st.ok()) *out = Aggregates();
+  return st;
 }
 
 Status TsEngine::Downsample(int64_t lo, int64_t hi, int64_t bucket_width,
@@ -1654,16 +1628,6 @@ Status TsEngine::Downsample(int64_t lo, int64_t hi, int64_t bucket_width,
     return Status::InvalidArgument("Downsample: bucket_width must be > 0");
   }
   if (lo > hi) return Status::InvalidArgument("Query: lo > hi");
-  telemetry::ScopedSpan span(telemetry_, options_.clock,
-                             telemetry::SpanType::kQuery,
-                             telemetry_series_id_);
-  QueryStats local;
-  if (stats != nullptr) local.explain = stats->explain;
-  ReadSnapshot snap;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    snap = AcquireSnapshotLocked();
-  }
   const int64_t W = options_.summary_window;
   // The bucket grid must coincide with the summary grid for pushdown:
   // buckets are aligned to `lo`, so `lo` must sit on a window boundary and
@@ -1673,26 +1637,20 @@ Status TsEngine::Downsample(int64_t lo, int64_t hi, int64_t bucket_width,
       lo == FloorWindowStart(lo, W) &&
       hi <= std::numeric_limits<int64_t>::max() - bucket_width &&
       (hi - lo) / bucket_width < kMaxPushdownWindows;
-  Status st;
-  if (!aligned) {
-    std::vector<DataPoint> points;
-    st = QuerySnapshot(snap, lo, hi, &points, &local);
-    if (st.ok()) *out = BucketizePoints(points, lo, hi, bucket_width);
-  } else {
-    st = [&]() -> Status {
+  Status st = ReadOnSnapshot(stats, [&](const ReadSnapshot& snap,
+                                        QueryStats* local) -> Status {
+    // Point-reads [flo, fhi] and appends its non-empty buckets, aligned to
+    // `flo` (a bucket boundary on both paths).
+    auto bucketize = [&](int64_t flo, int64_t fhi) -> Status {
+      if (flo > fhi) return Status::OK();
+      return QuerySnapshot(snap, flo, fhi, local, [&](const DataPoint& p) {
+        AccumulateIntoBuckets(p, flo, bucket_width, out);
+      });
+    };
+    if (!aligned) {
+      SEPLSM_RETURN_IF_ERROR(bucketize(lo, hi));
+    } else {
       SummaryReaderCache readers;
-      // Point-reads one coalesced stretch of non-servable buckets and
-      // appends its non-empty buckets (grid-aligned since flo is).
-      auto flush = [&](int64_t flo, int64_t fhi) -> Status {
-        if (flo > fhi) return Status::OK();
-        std::vector<DataPoint> points;
-        SEPLSM_RETURN_IF_ERROR(QuerySnapshot(snap, flo, fhi, &points,
-                                             &local));
-        std::vector<TimeBucket> buckets =
-            BucketizePoints(points, flo, fhi, bucket_width);
-        out->insert(out->end(), buckets.begin(), buckets.end());
-        return Status::OK();
-      };
       int64_t fb_start = 0;
       bool has_fb = false;
       for (int64_t bs = lo; bs <= hi; bs += bucket_width) {
@@ -1701,7 +1659,7 @@ Status TsEngine::Downsample(int64_t lo, int64_t hi, int64_t bucket_width,
         bool servable = be - 1 <= hi;
         for (int64_t ws = bs; ws < be && servable; ws += W) {
           auto r = WindowServableBySummaries(snap, ws, ws + W - 1, &readers,
-                                             &local);
+                                             local);
           if (!r.ok()) return r.status();
           servable = r.value();
         }
@@ -1713,12 +1671,12 @@ Status TsEngine::Downsample(int64_t lo, int64_t hi, int64_t bucket_width,
           continue;
         }
         if (has_fb) {
-          SEPLSM_RETURN_IF_ERROR(flush(fb_start, bs - 1));
+          SEPLSM_RETURN_IF_ERROR(bucketize(fb_start, bs - 1));
           has_fb = false;
         }
         Aggregates agg;
         for (int64_t ws = bs; ws < be; ws += W) {
-          MergeWindowSummaries(snap, ws, ws + W - 1, &readers, &agg, &local);
+          MergeWindowSummaries(snap, ws, ws + W - 1, &readers, &agg, local);
         }
         if (agg.count > 0) {
           TimeBucket bucket;
@@ -1728,22 +1686,15 @@ Status TsEngine::Downsample(int64_t lo, int64_t hi, int64_t bucket_width,
           out->push_back(bucket);
         }
       }
-      if (has_fb) return flush(fb_start, hi);
-      return Status::OK();
-    }();
-  }
-  if (!st.ok()) return st;
-  for (const auto& bucket : *out) {
-    local.points_returned += bucket.aggregates.count;
-  }
-  AccumulateQueryMetrics(local);
-  snap = ReadSnapshot();
-  CollectDeferredDeletes();
-  span.set_points(local.points_returned);
-  span.set_bytes(local.device_bytes_read);
-  span.set_files(local.files_opened);
-  if (stats != nullptr) *stats = local;
-  return Status::OK();
+      if (has_fb) SEPLSM_RETURN_IF_ERROR(bucketize(fb_start, hi));
+    }
+    for (const auto& bucket : *out) {
+      local->points_returned += bucket.aggregates.count;
+    }
+    return Status::OK();
+  });
+  if (!st.ok()) out->clear();
+  return st;
 }
 
 int64_t TsEngine::MaxPersistedGenerationTime() {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -356,12 +357,10 @@ class TsEngine {
   Result<std::shared_ptr<storage::SSTableReader>> OpenTableReader(
       const storage::FileMetadata& file);
 
-  /// Reads [lo, hi] from one table via the table cache when enabled.
-  /// `explain` (optional) receives per-block read/skip events.
-  Status ReadTableRange(const storage::FileMetadata& file, int64_t lo,
-                        int64_t hi, std::vector<DataPoint>* out,
-                        storage::ReadStats* stats,
-                        storage::QueryExplain* explain = nullptr);
+  /// Opens `file` (via OpenTableReader) as a block-streaming iterator over
+  /// [options.lo, options.hi]: how queries and merges read every table.
+  Result<std::unique_ptr<storage::PointIterator>> NewTableIterator(
+      const storage::FileMetadata& file, const storage::ReadOptions& options);
 
   /// Registers this engine's /metrics, /stats, /healthz, /debug/lsm
   /// handlers on Options::http_exporter (no-op when unset). Called once at
@@ -380,11 +379,14 @@ class TsEngine {
   }
 
   /// Point-read core shared by Query and the pushdown fallback paths:
-  /// merges the snapshot's run/level0/MemTable contents over [lo, hi] with
-  /// newest-wins dedup, appending sorted points to *out and accumulating
-  /// read/pruning counters into *local (points_returned is the caller's).
+  /// streams the snapshot's MemTable/level contents over [lo, hi] through
+  /// one newest-wins MergingIterator, calling `visit` once per surviving
+  /// point in time order, and accumulates read/pruning counters into
+  /// *local (points_returned is the caller's). On error `visit` may
+  /// already have seen a prefix of the answer.
   Status QuerySnapshot(const ReadSnapshot& snap, int64_t lo, int64_t hi,
-                       std::vector<DataPoint>* out, QueryStats* local);
+                       QueryStats* local,
+                       const std::function<void(const DataPoint&)>& visit);
 
   /// Per-query cache of run-file readers opened for summary lookups, so a
   /// walk over many windows opens each file at most once.
@@ -414,13 +416,13 @@ class TsEngine {
   Status AggregateSnapshot(const ReadSnapshot& snap, int64_t lo, int64_t hi,
                            Aggregates* out, QueryStats* local);
 
-  /// Folds one query's stats into metrics_ under mutex_ (shared by
-  /// Query/Aggregate/Downsample).
-  void AccumulateQueryMetrics(const QueryStats& local);
-
-  /// Captures the snapshot a reader works from: shared file metadata plus
-  /// frozen MemTable views, O(files), no I/O.
-  ReadSnapshot AcquireSnapshotLocked();
+  /// The frame Query/Aggregate/Downsample share: a query span, a snapshot
+  /// captured under `mutex_`, then `body` run on it lock-free (it sets
+  /// points_returned). On success the stats go to metrics_ and *stats, and
+  /// dropping the snapshot sweeps the retired tables it held last.
+  Status ReadOnSnapshot(
+      QueryStats* stats,
+      const std::function<Status(const ReadSnapshot&, QueryStats*)>& body);
 
   /// Hands a file that just left the live version to the deferred-delete
   /// list (unlinked once the last snapshot referencing it drops).

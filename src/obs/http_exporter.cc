@@ -110,21 +110,22 @@ Status HttpExporter::Start() {
   listen_fd_ = fd;
   port_.store(ntohs(bound.sin_port), std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ = std::thread([this, fd] { AcceptLoop(fd); });
   return Status::OK();
 }
 
 void HttpExporter::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
-  // Closing the listener unblocks accept(2); shutdown first so a racing
-  // accept sees an orderly error rather than a stale fd.
+  // Shutting the listener down unblocks accept(2). It is closed only once
+  // the accept thread has exited, so that thread can never call accept on
+  // a reused fd number.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   // Wake every in-flight connection (their recv returns 0/-1), then join.
   std::list<std::unique_ptr<Conn>> conns;
   {
@@ -194,9 +195,9 @@ void HttpExporter::ReapFinishedLocked() {
   }
 }
 
-void HttpExporter::AcceptLoop() {
+void HttpExporter::AcceptLoop(int listen_fd) {
   while (!stopping_.load(std::memory_order_acquire)) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
+    int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       // Stop() closed the listener (or it broke for good); either way the
@@ -288,8 +289,13 @@ void HttpExporter::ServeConnection(Conn* conn) {
             SerializeResponse(response, have_request &&
                                             request.method == "HEAD"));
   }
-  ::close(conn->fd);
-  conn->fd = -1;
+  {
+    // Stop shuts down the fds it finds open under this lock, so it can
+    // never hit a number closed here and already reused.
+    std::lock_guard<std::mutex> lock(conns_mutex_);
+    ::close(conn->fd);
+    conn->fd = -1;
+  }
   conn->done.store(true, std::memory_order_release);
 }
 

@@ -111,7 +111,7 @@ class HttpExporter {
 
  private:
   struct Conn {
-    int fd = -1;
+    int fd = -1;  ///< written (closed and cleared) only under conns_mutex_
     std::thread thread;
     std::atomic<bool> done{false};
   };
@@ -123,7 +123,8 @@ class HttpExporter {
     std::atomic<int64_t> in_flight{0};
   };
 
-  void AcceptLoop();
+  /// Serves Start's copy of the listener; Stop clears `listen_fd_`.
+  void AcceptLoop(int listen_fd);
   void ServeConnection(Conn* conn);
   Response Dispatch(const Request& request);
   void ReapFinishedLocked();

@@ -47,8 +47,7 @@ void SSTableIterator::SkipToNextInRange() {
         const DataPoint& p = block_->points[pos_];
         if (p.generation_time > options_.hi) {
           // Points are sorted: nothing later can be back in range.
-          done_ = true;
-          block_.reset();
+          Finish();
           return;
         }
         if (p.generation_time >= options_.lo &&
@@ -65,7 +64,8 @@ void SSTableIterator::SkipToNextInRange() {
         // Skipped via the index: never read, never a cache lookup.
         if (options_.stats != nullptr) ++options_.stats->blocks_skipped;
         if (options_.explain != nullptr) {
-          options_.explain->RecordBlockSkippedIndex();
+          options_.explain->RecordBlockSkippedIndex(
+              options_.explain_file, options_.explain_level);
         }
         ++entry_;
         continue;
@@ -79,7 +79,8 @@ void SSTableIterator::SkipToNextInRange() {
           // Zone map proves no value in this block can match.
           if (options_.stats != nullptr) ++options_.stats->blocks_skipped;
           if (options_.explain != nullptr) {
-            options_.explain->RecordBlockSkippedZoneMap();
+            options_.explain->RecordBlockSkippedZoneMap(
+                options_.explain_file, options_.explain_level);
           }
           ++entry_;
           continue;
@@ -89,7 +90,7 @@ void SSTableIterator::SkipToNextInRange() {
     }
     if (entry_ >= index.size() ||
         index[entry_].min_generation_time > options_.hi) {
-      done_ = true;
+      Finish();
       return;
     }
     auto block =
@@ -98,13 +99,29 @@ void SSTableIterator::SkipToNextInRange() {
       status_ = block.status();
       return;
     }
-    if (options_.explain != nullptr) options_.explain->RecordBlockRead();
+    if (options_.explain != nullptr) {
+      options_.explain->RecordBlockRead(options_.explain_file,
+                                        options_.explain_level);
+    }
     block_ = std::move(block).value();
     if (options_.stats != nullptr) {
       options_.stats->points_scanned += block_->points.size();
     }
     pos_ = 0;
     ++entry_;
+  }
+}
+
+void SSTableIterator::Finish() {
+  done_ = true;
+  block_.reset();
+  const uint64_t rest = table_->index().size() - entry_;
+  entry_ = table_->index().size();
+  if (rest == 0) return;
+  if (options_.stats != nullptr) options_.stats->blocks_skipped += rest;
+  if (options_.explain != nullptr) {
+    options_.explain->RecordBlockSkippedIndex(
+        options_.explain_file, options_.explain_level, rest);
   }
 }
 
@@ -134,8 +151,13 @@ void ConcatenatingIterator::Next() {
 void ConcatenatingIterator::Settle() {
   while (status_.ok() && cur_ < children_.size()) {
     if (children_[cur_] == nullptr && cur_ < factories_.size()) {
-      children_[cur_] = factories_[cur_]();
+      auto child = factories_[cur_]();
       factories_[cur_] = nullptr;  // the open table dies with the child
+      if (!child.ok()) {
+        status_ = child.status();
+        return;
+      }
+      children_[cur_] = std::move(child).value();
     }
     PointIterator* it = children_[cur_].get();
     if (it == nullptr) {  // factory pruned this child entirely

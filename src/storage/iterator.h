@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <vector>
 
 #include "common/point.h"
+#include "common/result.h"
 #include "common/status.h"
 #include "storage/block_cache.h"
 #include "storage/memtable.h"
@@ -55,20 +57,33 @@ class VectorIterator final : public PointIterator {
 };
 
 /// Adapter over a frozen MemTable view (shared ownership keeps the map
-/// alive, so the engine lock is not needed while iterating).
+/// alive, so the engine lock is not needed while iterating), restricted to
+/// generation times in [lo, hi] (the whole view by default).
 class MemTableViewIterator final : public PointIterator {
  public:
-  explicit MemTableViewIterator(MemTable::View view)
-      : view_(std::move(view)), it_(view_->begin()) {}
+  explicit MemTableViewIterator(
+      MemTable::View view, int64_t lo = std::numeric_limits<int64_t>::min(),
+      int64_t hi = std::numeric_limits<int64_t>::max())
+      : view_(std::move(view)),
+        it_(view_->lower_bound(lo)),
+        end_(lo <= hi ? view_->upper_bound(hi) : it_) {}
 
-  bool Valid() const override { return it_ != view_->end(); }
-  void Next() override { ++it_; }
+  bool Valid() const override { return it_ != end_; }
+  void Next() override {
+    ++it_;
+    ++consumed_;
+  }
   const DataPoint& point() const override { return it_->second; }
   Status status() const override { return Status::OK(); }
+
+  /// Points stepped past so far: once drained, the points in [lo, hi].
+  uint64_t consumed() const { return consumed_; }
 
  private:
   MemTable::View view_;
   MemTable::PointMap::const_iterator it_;
+  MemTable::PointMap::const_iterator end_;
+  uint64_t consumed_ = 0;
 };
 
 /// Streams an SSTable block by block: at most ONE decoded block is resident
@@ -94,8 +109,11 @@ class SSTableIterator final : public PointIterator {
 
  private:
   /// Advances `entry_`/`pos_` until they name a point in range, loading
-  /// blocks lazily; sets `done_` at the end of the range.
+  /// blocks lazily; calls Finish at the end of the range.
   void SkipToNextInRange();
+  /// Ends the scan. The index is sorted, so every entry not yet loaded lies
+  /// past `hi` and counts as index-skipped, as in SSTableReader::ReadRange.
+  void Finish();
 
   std::shared_ptr<const SSTableReader> owner_;  // null when borrowing
   const SSTableReader* table_;
@@ -118,10 +136,11 @@ class ConcatenatingIterator final : public PointIterator {
  public:
   /// Deferred child construction: each factory is invoked only when the
   /// chain reaches it (and may return null to mean "fully pruned, nothing
-  /// to read"), so a chain over N files keeps at most one child — one
-  /// resident block, one open table — alive at a time and never touches the
-  /// block cache for files the scan finishes before.
-  using ChildFactory = std::function<std::unique_ptr<PointIterator>()>;
+  /// to read", or an error, which ends the chain with that status), so a
+  /// chain over N files keeps at most one child — one resident block, one
+  /// open table — alive at a time.
+  using ChildFactory =
+      std::function<Result<std::unique_ptr<PointIterator>>()>;
 
   explicit ConcatenatingIterator(
       std::vector<std::unique_ptr<PointIterator>> children);

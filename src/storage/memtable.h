@@ -67,14 +67,8 @@ class MemTable {
   /// Copies points with generation_time in [lo, hi] into *out (sorted).
   void CollectRange(int64_t lo, int64_t hi,
                     std::vector<DataPoint>* out) const {
-    CollectRange(*points_, lo, hi, out);
-  }
-
-  /// Same, over a frozen view (usable without the engine lock).
-  static void CollectRange(const PointMap& points, int64_t lo, int64_t hi,
-                           std::vector<DataPoint>* out) {
-    for (auto it = points.lower_bound(lo);
-         it != points.end() && it->first <= hi; ++it) {
+    for (auto it = points_->lower_bound(lo);
+         it != points_->end() && it->first <= hi; ++it) {
       out->push_back(it->second);
     }
   }

@@ -72,8 +72,6 @@ void QueryExplain::RecordFilesSkipped(int32_t level, uint64_t count,
 void QueryExplain::RecordFileOpened(uint64_t file_number, int32_t level,
                                     int64_t lo, int64_t hi) {
   ++files_opened_;
-  context_file_ = file_number;
-  context_level_ = level;
   Event e;
   e.kind = EventKind::kFileOpened;
   e.level = level;
@@ -84,34 +82,32 @@ void QueryExplain::RecordFileOpened(uint64_t file_number, int32_t level,
   Push(std::move(e));
 }
 
-void QueryExplain::RecordBlockSkippedIndex(uint64_t count) {
-  blocks_skipped_ += count;
+void QueryExplain::PushBlockEvent(EventKind kind, uint64_t file_number,
+                                  int32_t level, uint64_t count) {
   Event e;
-  e.kind = EventKind::kBlockSkippedIndex;
-  e.level = context_level_;
-  e.file_number = context_file_;
+  e.kind = kind;
+  e.level = level;
+  e.file_number = file_number;
   e.count = count;
   Push(std::move(e));
 }
 
-void QueryExplain::RecordBlockSkippedZoneMap(uint64_t count) {
+void QueryExplain::RecordBlockSkippedIndex(uint64_t file_number,
+                                           int32_t level, uint64_t count) {
   blocks_skipped_ += count;
-  Event e;
-  e.kind = EventKind::kBlockSkippedZoneMap;
-  e.level = context_level_;
-  e.file_number = context_file_;
-  e.count = count;
-  Push(std::move(e));
+  PushBlockEvent(EventKind::kBlockSkippedIndex, file_number, level, count);
 }
 
-void QueryExplain::RecordBlockRead(uint64_t count) {
+void QueryExplain::RecordBlockSkippedZoneMap(uint64_t file_number,
+                                             int32_t level, uint64_t count) {
+  blocks_skipped_ += count;
+  PushBlockEvent(EventKind::kBlockSkippedZoneMap, file_number, level, count);
+}
+
+void QueryExplain::RecordBlockRead(uint64_t file_number, int32_t level,
+                                   uint64_t count) {
   blocks_read_ += count;
-  Event e;
-  e.kind = EventKind::kBlockRead;
-  e.level = context_level_;
-  e.file_number = context_file_;
-  e.count = count;
-  Push(std::move(e));
+  PushBlockEvent(EventKind::kBlockRead, file_number, level, count);
 }
 
 void QueryExplain::RecordBloomNegative(const std::string& series) {
@@ -208,8 +204,6 @@ std::string QueryExplain::ToText() const {
 void QueryExplain::Clear() {
   events_.clear();
   dropped_ = 0;
-  context_file_ = 0;
-  context_level_ = -1;
   files_skipped_ = blocks_skipped_ = blooms_negative_ = summary_hits_ = 0;
   files_opened_ = blocks_read_ = windows_fallback_ = 0;
 }

@@ -54,13 +54,15 @@ class QueryExplain {
   // --- Recording (engine + storage read paths) ---
   void RecordFilesSkipped(int32_t level, uint64_t count, int64_t lo,
                           int64_t hi);
-  /// Also installs (file_number, level) as the context inherited by the
-  /// per-block events the subsequent table read records.
   void RecordFileOpened(uint64_t file_number, int32_t level, int64_t lo,
                         int64_t hi);
-  void RecordBlockSkippedIndex(uint64_t count = 1);
-  void RecordBlockSkippedZoneMap(uint64_t count = 1);
-  void RecordBlockRead(uint64_t count = 1);
+  /// Block events name their file and level: a merge reads several files.
+  void RecordBlockSkippedIndex(uint64_t file_number, int32_t level,
+                               uint64_t count = 1);
+  void RecordBlockSkippedZoneMap(uint64_t file_number, int32_t level,
+                                 uint64_t count = 1);
+  void RecordBlockRead(uint64_t file_number, int32_t level,
+                       uint64_t count = 1);
   void RecordBloomNegative(const std::string& series);
   void RecordSummaryWindowServed(int64_t ws, int64_t we,
                                  uint64_t summary_count);
@@ -91,14 +93,12 @@ class QueryExplain {
 
  private:
   void Push(Event event);
+  void PushBlockEvent(EventKind kind, uint64_t file_number, int32_t level,
+                      uint64_t count);
 
   size_t max_events_;
   std::vector<Event> events_;
   uint64_t dropped_ = 0;
-
-  // Context installed by RecordFileOpened, inherited by block events.
-  uint64_t context_file_ = 0;
-  int32_t context_level_ = -1;
 
   uint64_t files_skipped_ = 0;
   uint64_t blocks_skipped_ = 0;

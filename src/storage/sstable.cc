@@ -6,7 +6,6 @@
 
 #include "common/coding.h"
 #include "storage/iterator.h"
-#include "storage/query_explain.h"
 
 namespace seplsm::storage {
 
@@ -270,17 +269,14 @@ Result<std::shared_ptr<const CachedBlock>> SSTableReader::ReadBlock(
 
 Status SSTableReader::ReadRange(int64_t lo, int64_t hi,
                                 std::vector<DataPoint>* out,
-                                ReadStats* stats,
-                                QueryExplain* explain) const {
+                                ReadStats* stats) const {
   for (const auto& entry : index_) {
     if (entry.min_generation_time > hi || entry.max_generation_time < lo) {
       if (stats != nullptr) ++stats->blocks_skipped;
-      if (explain != nullptr) explain->RecordBlockSkippedIndex();
       continue;
     }
     auto block = ReadBlock(entry, stats);
     if (!block.ok()) return block.status();
-    if (explain != nullptr) explain->RecordBlockRead();
     if (stats != nullptr) stats->points_scanned += (*block)->points.size();
     for (const auto& p : (*block)->points) {
       if (p.generation_time >= lo && p.generation_time <= hi) {

@@ -61,8 +61,11 @@ struct ReadOptions {
   double value_hi = std::numeric_limits<double>::infinity();
   /// Optional per-query decision trace (storage/query_explain.h): block
   /// reads and index/zone-map skips are recorded alongside the `stats`
-  /// counters. Not thread-safe — one QueryExplain per query invocation.
+  /// counters, naming `explain_file` at tree level `explain_level`. Not
+  /// thread-safe — one QueryExplain per query invocation.
   QueryExplain* explain = nullptr;
+  uint64_t explain_file = 0;
+  int32_t explain_level = -1;
 
   bool has_value_bounds() const {
     return value_lo != -std::numeric_limits<double>::infinity() ||
@@ -153,11 +156,10 @@ class SSTableReader {
 
   /// Appends points with generation_time in [lo, hi]; reads only the blocks
   /// whose index range overlaps (served from the block cache when attached).
-  /// *stats (optional) is incremented with scan/device/cache counters;
-  /// *explain (optional) records the per-block outcomes.
+  /// *stats (optional) is incremented with scan/device/cache counters —
+  /// exactly what a drained SSTableIterator over the same range counts.
   Status ReadRange(int64_t lo, int64_t hi, std::vector<DataPoint>* out,
-                   ReadStats* stats = nullptr,
-                   QueryExplain* explain = nullptr) const;
+                   ReadStats* stats = nullptr) const;
 
   /// The per-block index loaded at Open (sorted by generation time).
   const std::vector<format::BlockIndexEntry>& index() const { return index_; }

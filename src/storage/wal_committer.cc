@@ -129,6 +129,7 @@ void GroupCommitter::CommitLoop() {
     batch.reserve(queue_.size());
     while (!queue_.empty()) {
       batch.push_back(std::move(queue_.front()));
+      batch.back().wal = batch.back().handle->wal_;
       queue_.pop_front();
     }
     space_cv_.notify_all();
@@ -148,6 +149,7 @@ void GroupCommitter::CommitBatch(std::vector<Entry>* batch) {
   // WAL record order must match the order MemTable inserts were acked in).
   struct Group {
     Handle* handle;
+    WalWriter* wal;  ///< one per round: taken in one mutex_ hold
     std::vector<DataPoint> points;
     std::vector<CommitWait*> waits;
   };
@@ -161,7 +163,7 @@ void GroupCommitter::CommitBatch(std::vector<Entry>* batch) {
       }
     }
     if (g == nullptr) {
-      groups.push_back(Group{e.handle, {}, {}});
+      groups.push_back(Group{e.handle, e.wal, {}, {}});
       g = &groups.back();
     }
     g->points.push_back(e.point);
@@ -182,7 +184,7 @@ void GroupCommitter::CommitBatch(std::vector<Entry>* batch) {
   }
 
   for (Group& g : groups) {
-    WalWriter* wal = g.handle->wal_;
+    WalWriter* wal = g.wal;
     Status st;
     uint64_t bytes_before = 0;
     uint64_t records = 0;

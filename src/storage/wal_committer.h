@@ -137,6 +137,7 @@ class GroupCommitter {
     Handle* handle;
     DataPoint point;
     Ticket wait;
+    WalWriter* wal = nullptr;  ///< read under mutex_ as a round takes it
   };
 
   void CommitLoop();

@@ -59,6 +59,10 @@ std::vector<MatrixCase> Cases() {
   return cases;
 }
 
+// Names the parameter in test listings instead of dumping its bytes, which
+// hold heap pointers and so would change from run to run.
+void PrintTo(const MatrixCase& c, std::ostream* os) { *os << c.label; }
+
 class EngineMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(EngineMatrixTest, CorrectUnderAllFeatureCombinations) {

@@ -9,15 +9,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "engine/job_scheduler.h"
 #include "engine/multi_series_db.h"
 #include "engine/ts_engine.h"
 #include "env/mem_env.h"
 #include "storage/query_explain.h"
+#include "storage/sstable.h"
 
 namespace seplsm::engine {
 namespace {
@@ -205,6 +210,88 @@ TEST_F(ExplainEquivalenceTest, JsonAndTextRenderEvents) {
   EXPECT_NE(json.find("\"events\""), std::string::npos);
   EXPECT_NE(json.find("\"totals\""), std::string::npos);
   EXPECT_FALSE(explain.ToText().empty());
+}
+
+TEST(ExplainBlockAttributionTest, BlockEventsNameTheirOwnFile) {
+  // One query merges blocks of several open files in turn, so every block
+  // event must carry the file it came from. Tables are written straight
+  // into the directory: recovery puts the disjoint ones (1, 4) in level 1
+  // and the overlapping stragglers (2, 3) in level 0.
+  MemEnv env;
+  auto write = [&](uint64_t number, int64_t first, int64_t last,
+                   int64_t step) {
+    storage::SSTableWriter writer(&env, storage::TableFilePath("/db", number),
+                                  /*points_per_block=*/32);
+    for (int64_t t = first; t <= last; t += step) {
+      ASSERT_TRUE(writer.Add({t, t, Reading(t)}).ok());
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+  };
+  write(1, 0, 990, 10);
+  write(2, 505, 1495, 10);
+  write(3, 702, 1302, 20);
+  write(4, 1000, 1990, 10);
+
+  // The scheduler's only worker is held by a job the test owns, so the
+  // engine's level-0 compaction stays queued while the query runs. The
+  // engine is declared first so that it is destroyed last: its destructor
+  // waits for its queued job, which needs the worker back.
+  auto scheduler = std::make_shared<JobScheduler>(1);
+  std::unique_ptr<TsEngine> db;
+  std::promise<void> started, release;
+  std::shared_future<void> released = release.get_future().share();
+  ASSERT_TRUE(scheduler
+                  ->Submit(scheduler->RegisterToken(),
+                           JobScheduler::JobKind::kFlush,
+                           [&started, released](uint64_t) {
+                             started.set_value();
+                             released.wait();
+                           })
+                  .ok());
+  started.get_future().wait();
+  struct Release {
+    std::promise<void>* p;
+    ~Release() { p->set_value(); }
+  } guard{&release};
+
+  Options o = BaseOptions(&env, "/db");
+  o.background_mode = true;
+  o.job_scheduler = scheduler;
+  auto opened = TsEngine::Open(o);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  db = std::move(opened).value();
+  ASSERT_EQ(db->LevelFileCount(0), 2u);
+  ASSERT_EQ(db->LevelFileCount(1), 2u);
+
+  const int64_t lo = 600, hi = 1400;
+  storage::QueryExplain explain;
+  QueryStats stats;
+  stats.explain = &explain;
+  std::vector<DataPoint> out;
+  ASSERT_TRUE(db->Query(lo, hi, &out, &stats).ok());
+
+  std::map<uint64_t, uint64_t> reads, skips;
+  std::map<uint64_t, int32_t> levels;
+  for (const auto& e : explain.events()) {
+    using Kind = storage::QueryExplain::EventKind;
+    if (e.kind == Kind::kFileOpened) levels[e.file_number] = e.level;
+    if (e.kind == Kind::kBlockRead) reads[e.file_number] += e.count;
+    if (e.kind == Kind::kBlockSkippedIndex) skips[e.file_number] += e.count;
+  }
+  EXPECT_EQ(explain.dropped_events(), 0u);
+  EXPECT_EQ(levels, (std::map<uint64_t, int32_t>{{1, 1}, {2, 0}, {3, 0},
+                                                 {4, 1}}));
+  for (uint64_t number = 1; number <= 4; ++number) {
+    auto reader = storage::SSTableReader::Open(
+        &env, storage::TableFilePath("/db", number));
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    storage::ReadStats own;
+    std::vector<DataPoint> points;
+    ASSERT_TRUE((*reader)->ReadRange(lo, hi, &points, &own).ok());
+    EXPECT_GT(own.blocks_read, 0u) << "file " << number;
+    EXPECT_EQ(reads[number], own.blocks_read) << "file " << number;
+    EXPECT_EQ(skips[number], own.blocks_skipped) << "file " << number;
+  }
 }
 
 TEST(ExplainBloomTest, SeriesBloomRejectionIsTraced) {

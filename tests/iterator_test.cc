@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
+#include <utility>
 
 #include "common/random.h"
 #include "env/fault_env.h"
@@ -152,6 +154,55 @@ TEST_F(SSTableIteratorTest, RangeScanMatchesReadRange) {
     ASSERT_TRUE(reader->ReadRange(opts.lo, opts.hi, &want).ok());
     EXPECT_EQ(DrainIterator(it.get()), want)
         << "[" << opts.lo << ", " << opts.hi << "]";
+  }
+}
+
+TEST_F(SSTableIteratorTest, DrainedStatsEqualReadRangeStats) {
+  // Queries stream tables through this iterator while replays call
+  // ReadRange: both must account a range identically — blocks past `hi`
+  // count as skipped on both — or the pruning counters drift. Each side
+  // reads through its own cache, so hit/miss sequences match as well.
+  auto points = MakePoints(100, 0, 10);  // keys 0..990, 7 blocks of 16
+  WriteTable(points, "/t.sst", 16);      // block k spans [160k, 160k+150]
+  BlockCache cache_a(1 << 20, 1), cache_b(1 << 20, 1);
+  auto streamed_reader = MustOpen("/t.sst", BlockCacheHandle{&cache_a, 1, 1});
+  auto ranged_reader = MustOpen("/t.sst", BlockCacheHandle{&cache_b, 1, 1});
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {0, 990},     {kMin, kMax},  // the whole file
+      {0, 0},       {990, 990},    // first and last point
+      {150, 160},   {160, 310},    // block edges
+      {151, 159},                  // empty: the gap between two blocks
+      {kMin, -1},   {991, kMax},   // empty: before and after the file
+      {500, 400},                  // empty: inverted
+      {500, 510},   {300, 700},  {0, 500},  {500, 990}};
+  Rng rng(11);
+  for (int i = 0; i < 40; ++i) {
+    const int64_t lo = rng.UniformInt(-50, 1040);
+    ranges.emplace_back(lo, lo + rng.UniformInt(0, 600));
+  }
+  for (auto [lo, hi] : ranges) {
+    ReadStats streamed, ranged;
+    ReadOptions opts;
+    opts.lo = lo;
+    opts.hi = hi;
+    opts.stats = &streamed;
+    auto it = streamed_reader->NewIterator(opts);
+    auto got = DrainIterator(it.get());
+    std::vector<DataPoint> want;
+    ASSERT_TRUE(ranged_reader->ReadRange(lo, hi, &want, &ranged).ok());
+    SCOPED_TRACE(testing::Message() << "[" << lo << ", " << hi << "]");
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(streamed.points_scanned, ranged.points_scanned);
+    EXPECT_EQ(streamed.device_bytes_read, ranged.device_bytes_read);
+    EXPECT_EQ(streamed.blocks_read, ranged.blocks_read);
+    EXPECT_EQ(streamed.blocks_skipped, ranged.blocks_skipped);
+    EXPECT_EQ(streamed.cache_hits, ranged.cache_hits);
+    EXPECT_EQ(streamed.cache_misses, ranged.cache_misses);
+    EXPECT_EQ(streamed.blocks_read + streamed.cache_hits +
+                  streamed.blocks_skipped,
+              7u);  // every block is either read or skipped, once
   }
 }
 
