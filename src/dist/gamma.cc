@@ -21,7 +21,7 @@ double GammaDistribution::Pdf(double x) const {
     return shape_ == 1.0 ? 1.0 / scale_ : 0.0;
   }
   double log_pdf = (shape_ - 1.0) * std::log(x) - x / scale_ -
-                   std::lgamma(shape_) - shape_ * std::log(scale_);
+                   numeric::LogGamma(shape_) - shape_ * std::log(scale_);
   return std::exp(log_pdf);
 }
 

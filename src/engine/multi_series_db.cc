@@ -151,8 +151,8 @@ Result<std::unique_ptr<MultiSeriesDB>> MultiSeriesDB::Open(
   }
   if (options.base.enable_wal && options.base.wal_group_commit &&
       options.base.wal_committer == nullptr) {
-    // One commit thread — one fsync stream — for every series engine:
-    // concurrent appends across series batch into shared commit rounds
+    // One committer — one stream of commit rounds — for every series
+    // engine: concurrent appends across series batch into shared rounds
     // instead of issuing a serialized fsync per series.
     options.base.wal_committer = std::make_shared<storage::GroupCommitter>();
   }
@@ -322,12 +322,23 @@ Status MultiSeriesDB::Query(const std::string& series, int64_t lo, int64_t hi,
 }
 
 Status MultiSeriesDB::FlushAll() {
+  // Phase 1: start every series' flush, so all their jobs share the
+  // scheduler at once instead of one series draining at a time.
+  std::vector<TsEngine*> engines;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (auto& [name, entry] : shard->series) {
       (void)name;
-      SEPLSM_RETURN_IF_ERROR(entry.engine->FlushAll());
+      entry.engine->StartFlush();
+      engines.push_back(entry.engine.get());
     }
+  }
+  // Phase 2: await each series without its shard lock, so appends to the
+  // shard's other series go on meanwhile. The engines stay alive because,
+  // as AppendBatch and Query already require, no CloseSeries runs
+  // concurrently.
+  for (TsEngine* engine : engines) {
+    SEPLSM_RETURN_IF_ERROR(engine->FlushAll());
   }
   return Status::OK();
 }

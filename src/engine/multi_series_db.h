@@ -85,7 +85,9 @@ class MultiSeriesDB {
   Status Query(const std::string& series, int64_t lo, int64_t hi,
                std::vector<DataPoint>* out, QueryStats* stats = nullptr);
 
-  /// Drains every series.
+  /// Drains every series: starts every series' flush first, then awaits
+  /// each one without holding its shard lock. The caller must not close
+  /// series concurrently.
   Status FlushAll();
 
   /// Closes one series: cancels/drains its background jobs, flushes its

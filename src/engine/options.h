@@ -204,10 +204,11 @@ struct Options {
   /// appends across threads and series share one batched record + fsync.
   /// Takes precedence over `wal_sync_every_append` when both are set.
   bool wal_group_commit = false;
-  /// Shared commit thread for group commit, like the scheduler and
-  /// telemetry hubs: MultiSeriesDB (or the caller) sets one committer for
-  /// every series engine so their fsyncs coalesce. When null and
-  /// `wal_group_commit` is set, the engine creates a private one.
+  /// Shared group committer, like the scheduler and telemetry hubs:
+  /// MultiSeriesDB (or the caller) sets one committer for every series
+  /// engine so their commit rounds coalesce. It owns no thread; the
+  /// appending threads lead the rounds. When null and `wal_group_commit`
+  /// is set, the engine creates a private one.
   std::shared_ptr<storage::GroupCommitter> wal_committer;
   /// When the log grows past this, the engine drains the MemTables and
   /// retires it (crash-safe rotation: new log beside the old, sync, rename,

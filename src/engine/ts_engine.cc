@@ -229,8 +229,8 @@ TsEngine::TsEngine(Options options)
   }
   if (options_.enable_wal && options_.wal_group_commit &&
       options_.wal_committer == nullptr) {
-    // Standalone engine: private commit thread (MultiSeriesDB shares one
-    // committer across every series engine so their fsyncs coalesce).
+    // Standalone engine: private committer (MultiSeriesDB shares one
+    // across every series engine so their fsyncs coalesce).
     options_.wal_committer = std::make_shared<storage::GroupCommitter>();
   }
   if (telemetry::Active(options_.telemetry.get())) {
@@ -585,9 +585,6 @@ Status TsEngine::AppendBatchLocked(const DataPoint* points, size_t count,
       // lock hold on the committer, one slot in the next commit round.
       *ticket =
           options_.wal_committer->EnqueueBatch(wal_handle_, points, count);
-      if (*ticket == nullptr) {
-        return Status::Aborted("wal committer shutting down");
-      }
     } else {
       // Direct WAL path: ONE multi-point CRC-framed record (recovery
       // replays it all-or-nothing) and, in sync-every-append mode, ONE
@@ -1256,6 +1253,11 @@ Status TsEngine::FlushAll() {
   }
   CollectDeferredDeletes();
   return WaitForBackgroundIdle();
+}
+
+void TsEngine::StartFlush() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (options_.background_mode) FreezeMemTablesLocked();
 }
 
 Status TsEngine::Checkpoint() {

@@ -124,6 +124,13 @@ class TsEngine {
   /// and, in background mode, waits for level 0 to fully fold into the run.
   Status FlushAll();
 
+  /// Starts FlushAll's work without waiting for it: in background mode it
+  /// freezes every MemTable, which puts their flush jobs on the scheduler.
+  /// No-op for the synchronous executor, whose installs run in FlushAll's
+  /// caller. MultiSeriesDB::FlushAll starts every series before awaiting
+  /// any, so their flushes overlap.
+  void StartFlush();
+
   /// FlushAll + truncate the write-ahead log (no-op truncation when WAL is
   /// disabled). Call before clean shutdown to make recovery instant.
   Status Checkpoint();

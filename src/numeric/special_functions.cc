@@ -1,5 +1,7 @@
 #include "numeric/special_functions.h"
 
+#include <math.h>  // lgamma_r
+
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -23,7 +25,7 @@ double GammaPSeries(double a, double x) {
     sum += term;
     if (std::fabs(term) < std::fabs(sum) * kEpsilon) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - LogGamma(a));
 }
 
 /// Continued fraction for Q(a,x) (Lentz's algorithm).
@@ -44,10 +46,15 @@ double GammaQContinuedFraction(double a, double x) {
     h *= delta;
     if (std::fabs(delta - 1.0) < kEpsilon) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - LogGamma(a));
 }
 
 }  // namespace
+
+double LogGamma(double x) {
+  int sign;
+  return lgamma_r(x, &sign);
+}
 
 double RegularizedGammaP(double a, double x) {
   assert(a > 0.0);
@@ -63,8 +70,6 @@ double RegularizedGammaQ(double a, double x) {
 double RegularizedGammaPInverse(double a, double p) {
   assert(a > 0.0 && p > 0.0 && p < 1.0);
   // Bracket then bisect+Newton. Initial guess via Wilson–Hilferty.
-  double g = std::lgamma(a);
-  (void)g;
   double guess;
   {
     double t = 1.0 - 2.0 / (9.0 * a);

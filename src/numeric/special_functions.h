@@ -3,6 +3,10 @@
 
 namespace seplsm::numeric {
 
+/// ln |Γ(x)|. Thread-safe, unlike std::lgamma, which writes the global
+/// `signgam` and so races when two series fit a distribution at once.
+double LogGamma(double x);
+
 /// Regularized lower incomplete gamma P(a, x) = γ(a, x) / Γ(a), a > 0,
 /// x >= 0. Series expansion for x < a+1, continued fraction otherwise
 /// (Numerical Recipes style). Accuracy ~1e-12.

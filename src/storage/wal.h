@@ -66,8 +66,8 @@ class WalWriter {
   /// writers abandoned on error paths.
   Status Close();
 
-  /// Bytes appended so far (for checkpoint-size policies). Atomic so the
-  /// group-commit thread can append while the engine reads the size.
+  /// Bytes appended so far (for checkpoint-size policies). Atomic so a
+  /// group-commit round can append while the engine reads the size.
   uint64_t bytes_written() const {
     return bytes_written_.load(std::memory_order_relaxed);
   }

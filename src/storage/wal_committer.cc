@@ -7,17 +7,13 @@ namespace seplsm::storage {
 
 GroupCommitter::GroupCommitter() : GroupCommitter(Options()) {}
 
-GroupCommitter::GroupCommitter(Options options)
-    : options_(options), thread_([this] { CommitLoop(); }) {}
+GroupCommitter::GroupCommitter(Options options) : options_(options) {}
 
 GroupCommitter::~GroupCommitter() {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!queue_.empty() || round_running_) LeadOrWaitLocked(lock);
   }
-  worker_cv_.notify_all();
-  space_cv_.notify_all();
-  thread_.join();
   assert(handles_.empty() && "engines must Deregister before destruction");
 }
 
@@ -35,7 +31,7 @@ void GroupCommitter::SetWriter(Handle* handle, WalWriter* wal) {
 
 void GroupCommitter::Deregister(Handle* handle) {
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return handle->pending_ == 0; });
+  while (handle->pending_ != 0) LeadOrWaitLocked(lock);
   handles_.erase(std::find_if(handles_.begin(), handles_.end(),
                               [&](const std::unique_ptr<Handle>& h) {
                                 return h.get() == handle;
@@ -51,29 +47,27 @@ GroupCommitter::Ticket GroupCommitter::EnqueueBatch(Handle* handle,
                                                     const DataPoint* points,
                                                     size_t count) {
   if (count == 0) return nullptr;
+  // Copy and allocate before taking the lock; the round that writes the
+  // entry may run long after this caller has moved on.
+  Entry entry{handle, std::vector<DataPoint>(points, points + count),
+              std::make_shared<CommitWait>()};
+  Ticket ticket = entry.wait;
   std::unique_lock<std::mutex> lock(mutex_);
-  space_cv_.wait(lock, [&] {
-    return stop_ || queue_.size() < options_.max_queue_points;
-  });
-  if (stop_) return nullptr;
-  Ticket ticket = std::make_shared<CommitWait>();
-  // All entries share one ticket; pending_ and the done flag tolerate the
-  // N-fold bookkeeping (done is idempotent, pending_ is ±N symmetric).
-  // Pushing the whole batch under this single lock hold is what guarantees
-  // one commit round covers it: the ticket must not complete while part of
-  // the batch is still queued.
-  for (size_t i = 0; i < count; ++i) {
-    queue_.push_back(Entry{handle, points[i], ticket});
+  while (!queue_.empty() && queued_points_ >= options_.max_queue_points) {
+    LeadOrWaitLocked(lock);
   }
-  handle->pending_ += count;
-  worker_cv_.notify_one();
+  // One entry per batch: a round takes the whole queue, so the ticket can
+  // only complete once every point of the batch is synced.
+  queue_.push_back(std::move(entry));
+  queued_points_ += count;
+  ++handle->pending_;
   return ticket;
 }
 
 Status GroupCommitter::Wait(const Ticket& ticket) {
-  if (ticket == nullptr) return Status::Aborted("wal committer stopped");
+  if (ticket == nullptr) return Status::Aborted("wal committer: null ticket");
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return ticket->done; });
+  while (!ticket->done) LeadOrWaitLocked(lock);
   return ticket->status;
 }
 
@@ -83,7 +77,7 @@ Status GroupCommitter::Commit(Handle* handle, const DataPoint& point) {
 
 void GroupCommitter::Barrier(Handle* handle) {
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return handle->pending_ == 0; });
+  while (handle->pending_ != 0) LeadOrWaitLocked(lock);
 }
 
 void GroupCommitter::AttachTelemetry(
@@ -91,9 +85,11 @@ void GroupCommitter::AttachTelemetry(
   if (!telemetry::Active(telemetry.get())) return;
   std::lock_guard<std::mutex> lock(mutex_);
   telemetry_ = std::move(telemetry);
-  ctr_group_commits_ = telemetry_->registry().GetCounter("wal_group_commits");
-  ctr_group_points_ = telemetry_->registry().GetCounter("wal_group_points");
-  ctr_wal_fsyncs_ = telemetry_->registry().GetCounter("wal_fsyncs");
+  sinks_.telemetry = telemetry_.get();
+  sinks_.group_commits =
+      telemetry_->registry().GetCounter("wal_group_commits");
+  sinks_.group_points = telemetry_->registry().GetCounter("wal_group_points");
+  sinks_.fsyncs = telemetry_->registry().GetCounter("wal_fsyncs");
 }
 
 GroupCommitter::Stats GroupCommitter::GetStats() const {
@@ -101,50 +97,40 @@ GroupCommitter::Stats GroupCommitter::GetStats() const {
   return stats_;
 }
 
-void GroupCommitter::CommitLoop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    worker_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    // Stragglers window: writers woken by the previous round's ack are
-    // usually a few instructions from their next Enqueue. While the queue
-    // is still growing, yield (bounded) so they board this round instead
-    // of paying their own fsync — microseconds spent against the ~100µs
-    // fsync they would otherwise each trigger. Matters most when cores
-    // are scarce and the wakeup-to-enqueue path gets serialized.
-    size_t seen = 0;
-    for (int spin = 0; spin < 4 && queue_.size() > seen && !stop_; ++spin) {
-      seen = queue_.size();
-      lock.unlock();
-      std::this_thread::yield();
-      lock.lock();
-    }
-    // Take the whole queue as one commit round: every point that arrived
-    // while the previous fsync ran rides the next one — group size adapts
-    // to contention with no tuning.
-    std::vector<Entry> batch;
-    batch.reserve(queue_.size());
-    while (!queue_.empty()) {
-      batch.push_back(std::move(queue_.front()));
-      batch.back().wal = batch.back().handle->wal_;
-      queue_.pop_front();
-    }
-    space_cv_.notify_all();
-    lock.unlock();
-    CommitBatch(&batch);
-    lock.lock();
-    for (Entry& e : batch) {
-      --e.handle->pending_;
-      e.wait->done = true;
-    }
-    done_cv_.notify_all();
+void GroupCommitter::LeadOrWaitLocked(std::unique_lock<std::mutex>& lock) {
+  if (round_running_) {
+    done_cv_.wait(lock);
+    return;
   }
+  assert(!queue_.empty() && "a blocked caller waits on a queued entry");
+  // Take the whole queue as one commit round: every batch that arrived
+  // while the previous round ran rides this one.
+  round_running_ = true;
+  std::vector<Entry> batch;
+  batch.swap(queue_);
+  queued_points_ = 0;
+  for (Entry& e : batch) e.wal = e.handle->wal_;
+  const Sinks sinks = sinks_;
+  lock.unlock();
+  const Stats delta = CommitBatch(&batch, sinks);
+  lock.lock();
+  for (Entry& e : batch) {
+    --e.handle->pending_;
+    e.wait->done = true;
+  }
+  stats_.commits += delta.commits;
+  stats_.syncs += delta.syncs;
+  stats_.groups += delta.groups;
+  stats_.records += delta.records;
+  stats_.durable_bytes += delta.durable_bytes;
+  stats_.max_group_points =
+      std::max(stats_.max_group_points, delta.max_group_points);
+  round_running_ = false;
+  done_cv_.notify_all();
 }
 
-void GroupCommitter::CommitBatch(std::vector<Entry>* batch) {
+GroupCommitter::Stats GroupCommitter::CommitBatch(std::vector<Entry>* batch,
+                                                  const Sinks& sinks) {
   // Group entries per handle, preserving queue order within each group (the
   // WAL record order must match the order MemTable inserts were acked in).
   struct Group {
@@ -155,34 +141,20 @@ void GroupCommitter::CommitBatch(std::vector<Entry>* batch) {
   };
   std::vector<Group> groups;
   for (Entry& e : *batch) {
-    Group* g = nullptr;
-    for (Group& cand : groups) {
-      if (cand.handle == e.handle) {
-        g = &cand;
-        break;
-      }
+    auto g = std::find_if(groups.begin(), groups.end(), [&](const Group& c) {
+      return c.handle == e.handle;
+    });
+    if (g == groups.end()) {
+      // A handle's first batch of the round: its points become the group's.
+      groups.push_back(
+          Group{e.handle, e.wal, std::move(e.points), {e.wait.get()}});
+    } else {
+      g->points.insert(g->points.end(), e.points.begin(), e.points.end());
+      g->waits.push_back(e.wait.get());
     }
-    if (g == nullptr) {
-      groups.push_back(Group{e.handle, e.wal, {}, {}});
-      g = &groups.back();
-    }
-    g->points.push_back(e.point);
-    g->waits.push_back(e.wait.get());
   }
 
   Stats delta;
-  telemetry::Telemetry* telemetry;
-  telemetry::Counter* ctr_commits;
-  telemetry::Counter* ctr_points;
-  telemetry::Counter* ctr_fsyncs;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    telemetry = telemetry_.get();
-    ctr_commits = ctr_group_commits_;
-    ctr_points = ctr_group_points_;
-    ctr_fsyncs = ctr_wal_fsyncs_;
-  }
-
   for (Group& g : groups) {
     WalWriter* wal = g.wal;
     Status st;
@@ -205,15 +177,15 @@ void GroupCommitter::CommitBatch(std::vector<Entry>* batch) {
         const int64_t sync_start = options_.clock->NowNanos();
         st = wal->Sync();
         const int64_t sync_end = options_.clock->NowNanos();
-        if (telemetry != nullptr) {
-          telemetry->RecordSpan(telemetry::SpanType::kWalSync,
-                                /*series_id=*/0, sync_start, sync_end,
-                                /*points=*/g.points.size(),
-                                /*bytes=*/wal->bytes_written() - bytes_before);
+        if (sinks.telemetry != nullptr) {
+          sinks.telemetry->RecordSpan(
+              telemetry::SpanType::kWalSync, /*series_id=*/0, sync_start,
+              sync_end, /*points=*/g.points.size(),
+              /*bytes=*/wal->bytes_written() - bytes_before);
         }
       }
     }
-    for (size_t i = 0; i < g.waits.size(); ++i) g.waits[i]->status = st;
+    for (CommitWait* w : g.waits) w->status = st;
     ++delta.groups;
     delta.records += records;
     delta.max_group_points =
@@ -222,22 +194,14 @@ void GroupCommitter::CommitBatch(std::vector<Entry>* batch) {
       ++delta.syncs;
       delta.commits += g.points.size();
       delta.durable_bytes += wal->bytes_written() - bytes_before;
-      if (ctr_commits != nullptr) {
-        ctr_commits->Add(1);
-        ctr_points->Add(g.points.size());
-        ctr_fsyncs->Add(1);
+      if (sinks.group_commits != nullptr) {
+        sinks.group_commits->Add(1);
+        sinks.group_points->Add(g.points.size());
+        sinks.fsyncs->Add(1);
       }
     }
   }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_.commits += delta.commits;
-  stats_.syncs += delta.syncs;
-  stats_.groups += delta.groups;
-  stats_.records += delta.records;
-  stats_.durable_bytes += delta.durable_bytes;
-  stats_.max_group_points =
-      std::max(stats_.max_group_points, delta.max_group_points);
+  return delta;
 }
 
 }  // namespace seplsm::storage

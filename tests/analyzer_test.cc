@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 
 #include "analyzer/adaptive_controller.h"
 #include "analyzer/delay_collector.h"
@@ -104,6 +106,36 @@ TEST(FitterTest, BimodalFallsBackToEmpirical) {
 
 TEST(FitterTest, EmptySampleRejected) {
   EXPECT_FALSE(FitDelayDistribution({}).ok());
+}
+
+TEST(ConcurrentFitTest, TwoThreadsFitAtOnceRaceFree) {
+  // Two series tuning at once fit on two threads. Gamma's CDF and density
+  // evaluate ln Γ, which must not touch shared state (std::lgamma writes
+  // the global signgam; a TSan build reports that race). Every concurrent
+  // fit must also equal a lone one.
+  Rng rng(15);
+  dist::GammaDistribution truth(3.0, 50.0);
+  std::vector<double> sample;
+  for (int i = 0; i < 2000; ++i) sample.push_back(truth.Sample(rng));
+  auto lone = FitDelayDistribution(sample);
+  ASSERT_TRUE(lone.ok());
+  const double lone_pdf = truth.Pdf(150.0);
+  std::atomic<int> mismatches{0};
+  auto fit_repeatedly = [&] {
+    for (int i = 0; i < 20; ++i) {
+      auto fit = FitDelayDistribution(sample);
+      if (!fit.ok() || fit->family != lone->family ||
+          fit->ks_distance != lone->ks_distance ||
+          truth.Pdf(150.0) != lone_pdf) {
+        mismatches.fetch_add(1);
+      }
+    }
+  };
+  std::thread a(fit_repeatedly);
+  std::thread b(fit_repeatedly);
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(DriftDetectorTest, NoDriftOnSameDistribution) {

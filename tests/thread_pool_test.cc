@@ -181,6 +181,14 @@ TEST(JobSchedulerTest, DistinctTokensRunInParallel) {
                   .Submit(tb, JobScheduler::JobKind::kCompaction,
                           [&](uint64_t) { b_started = true; })
                   .ok());
+  // DrainToken cancels jobs no worker has taken yet, so draining at once
+  // could discard both before either runs. Give the workers a bounded
+  // while to start B first.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!b_started.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   scheduler.DrainToken(ta);
   scheduler.DrainToken(tb);
   EXPECT_TRUE(b_started.load());

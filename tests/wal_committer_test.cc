@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -200,9 +201,11 @@ TEST(GroupCommitterTest, PiledUpWaitersShareOneFsync) {
   GroupCommitter committer;
   auto* handle = committer.Register(wal.get());
 
-  // Round 1: a single point; the commit thread parks inside its fsync.
+  // Round 1: a single point. Its waiter leads the round, which parks
+  // inside its fsync.
   auto first = committer.Enqueue(handle, MakePoint(0));
   ASSERT_NE(first, nullptr);
+  std::thread leader([&] { committer.Wait(first); });
   env.AwaitSyncParked();
 
   // While round 1 is stuck in fsync, eight more writers pile into the
@@ -217,7 +220,9 @@ TEST(GroupCommitterTest, PiledUpWaitersShareOneFsync) {
 
   env.GrantSync();  // finish round 1
   env.GrantSync();  // finish round 2
+  leader.join();
   ASSERT_TRUE(committer.Wait(first).ok());
+  // Round 2: led by this thread's first Wait, it takes all eight.
   for (auto& t : tickets) ASSERT_TRUE(committer.Wait(t).ok());
   committer.Deregister(handle);
 
@@ -241,6 +246,7 @@ TEST(GroupCommitterTest, OversizedRoundSplitsIntoCappedRecords) {
   auto* handle = committer.Register(wal.get());
 
   auto first = committer.Enqueue(handle, MakePoint(0));
+  std::thread leader([&] { committer.Wait(first); });
   env.AwaitSyncParked();
   std::vector<GroupCommitter::Ticket> tickets;
   for (int i = 1; i <= 10; ++i) {
@@ -248,6 +254,7 @@ TEST(GroupCommitterTest, OversizedRoundSplitsIntoCappedRecords) {
   }
   env.GrantSync();
   env.GrantSync();
+  leader.join();
   ASSERT_TRUE(committer.Wait(first).ok());
   for (auto& t : tickets) ASSERT_TRUE(committer.Wait(t).ok());
   committer.Deregister(handle);
@@ -351,6 +358,82 @@ TEST(GroupCommitterTest, TwoHandlesGetTheirOwnLogs) {
   ASSERT_EQ(pts_b.size(), 20u);
   for (const auto& p : pts_a) EXPECT_LT(p.generation_time, 100);
   for (const auto& p : pts_b) EXPECT_GE(p.generation_time, 100);
+}
+
+size_t CurrentThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return static_cast<size_t>(std::stoul(line.substr(8)));
+    }
+  }
+  return 0;
+}
+
+TEST(GroupCommitterTest, OwnsNoThread) {
+  const size_t before = CurrentThreadCount();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status";
+  MemEnv env;
+  auto wal = MustOpen(&env, "wal.log");
+  GroupCommitter committer;
+  auto* handle = committer.Register(wal.get());
+  // Commit rounds run in the caller: constructing, registering and
+  // committing start no thread.
+  ASSERT_TRUE(committer.Commit(handle, MakePoint(1)).ok());
+  EXPECT_EQ(CurrentThreadCount(), before);
+  committer.Deregister(handle);
+  EXPECT_EQ(committer.GetStats().commits, 1u);
+}
+
+TEST(GroupCommitterTest, UnwaitedEntriesAreWrittenByBarrierAndDeregister) {
+  // An engine whose MemTable insert fails returns without Wait; its entry
+  // must still reach the log with the next round anyone leads.
+  MemEnv env;
+  auto wal = MustOpen(&env, "wal.log");
+  GroupCommitter committer;
+  auto* handle = committer.Register(wal.get());
+
+  auto unwaited = committer.Enqueue(handle, MakePoint(1));
+  ASSERT_NE(unwaited, nullptr);
+  EXPECT_EQ(committer.GetStats().commits, 0u);
+  committer.Barrier(handle);
+  EXPECT_EQ(committer.GetStats().commits, 1u);
+  EXPECT_EQ(MustRead(&env, "wal.log").size(), 1u);
+
+  ASSERT_NE(committer.Enqueue(handle, MakePoint(2)), nullptr);
+  committer.Deregister(handle);
+  EXPECT_EQ(committer.GetStats().commits, 2u);
+  auto pts = MustRead(&env, "wal.log");
+  ASSERT_EQ(pts.size(), 2u);
+  EXPECT_EQ(pts[0].generation_time, 1);
+  EXPECT_EQ(pts[1].generation_time, 2);
+  // The entry's ticket completed with the round, though nobody waited.
+  EXPECT_TRUE(committer.Wait(unwaited).ok());
+}
+
+TEST(GroupCommitterTest, LoneEnqueuerPastQueueCapLeadsARound) {
+  // One thread enqueues past max_queue_points without ever waiting: with
+  // no other thread to drain the queue, it must lead the rounds itself.
+  MemEnv env;
+  auto wal = MustOpen(&env, "wal.log");
+  GroupCommitter::Options opts;
+  opts.max_queue_points = 4;
+  GroupCommitter committer(opts);
+  auto* handle = committer.Register(wal.get());
+
+  std::vector<GroupCommitter::Ticket> tickets;
+  for (int i = 0; i < 10; ++i) {
+    tickets.push_back(committer.Enqueue(handle, MakePoint(i)));
+  }
+  // The 5th and 9th enqueues each found 4 points queued and committed them.
+  auto stats = committer.GetStats();
+  EXPECT_EQ(stats.commits, 8u);
+  EXPECT_EQ(stats.syncs, 2u);
+  for (auto& t : tickets) ASSERT_TRUE(committer.Wait(t).ok());
+  committer.Deregister(handle);
+  EXPECT_EQ(committer.GetStats().commits, 10u);
+  EXPECT_EQ(MustRead(&env, "wal.log").size(), 10u);
 }
 
 TEST(GroupCommitterTest, StatsAreMonotone) {
